@@ -5,10 +5,6 @@ hardy. Data goes to --out (default standard output), diagnostics to
 standard error. Exit codes: 0 success, 1 numerical failure, 2 usage
 error. All randomness flows from --seed; identical command lines give
 byte-identical output.
-
-The sweep verb honors CABELLO_THREADS: grid points run on a thread pool
-of that size (0 or unset means serial) and rows are emitted in grid
-order either way, so the artifact is schedule-independent.
 """
 
 from __future__ import annotations
@@ -17,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -207,9 +202,8 @@ def _run_sweep(o, out) -> int:
         return 2
     lo, hi = o["eps_min"], o["eps_max"]
     grid = np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
-    threads = int(os.environ.get("CABELLO_THREADS") or 0)
     records = optimize.sweep_epsilon(grid, level=o["level"], starts=o["starts"],
-                                     seed=o["seed"], threads=threads)
+                                     seed=o["seed"])
     _emit(sweep_to_csv(records), out)
     bad = [r for r in records if r.status != "ok"]
     for r in bad:

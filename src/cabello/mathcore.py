@@ -1,6 +1,6 @@
-"""Dense complex linear algebra plus the three numerical kernels used
-throughout: Hermitian eigendecomposition, a small dense LP solver, and a
-derivative-free local minimizer.
+"""Dense complex linear algebra plus the numerical kernels used
+throughout: Hermitian eigendecomposition, a small dense LP solver, a
+derivative-free local minimizer, and a constrained SLSQP minimizer.
 
 Matrices are plain complex numpy arrays. Everything here is a pure
 function of its arguments, so the module is safe to call from worker
@@ -8,7 +8,8 @@ threads without locking.
 
 Default tolerances are set once here and inherited by the callers:
 ``EIG_TOL`` for eigensolves, ``LP_TOL`` for linear programs, ``MIN_TOL``
-for the simplex minimizer.
+for the simplex minimizer, ``SLSQP_TOL`` and ``SLSQP_MAX_ITER`` for the
+constrained minimizer.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import scipy.optimize
 EIG_TOL = 1e-12
 LP_TOL = 1e-9
 MIN_TOL = 1e-10
+SLSQP_TOL = 1e-12
+SLSQP_MAX_ITER = 200
 
 
 class NotHermitianError(ValueError):
@@ -148,11 +151,11 @@ def solve_lp(p: LPProblem, tol: float = LP_TOL) -> tuple[float, np.ndarray]:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Best point found by ``minimize``.
+    """Best point found by ``minimize`` or ``minimize_constrained``.
 
     ``converged`` is False when the evaluation budget ran out before the
-    simplex shrank below tolerance; the best-so-far point is still
-    returned.
+    simplex shrank below tolerance (or, for SLSQP, when the solver did
+    not report success); the best-so-far point is still returned.
     """
 
     x: np.ndarray
@@ -195,3 +198,27 @@ def minimize(
     if f0 < fx:  # guard the contract fbest <= f(x0); NM keeps the incumbent anyway
         x, fx = x0, f0
     return MinimizeResult(x=x, fun=fx, nevals=int(res.nfev), converged=bool(res.success))
+
+
+def minimize_constrained(
+    f: Callable[[np.ndarray], float],
+    x0: Sequence[float],
+    bounds: Sequence[tuple[float | None, float | None]],
+    ineq: Callable[[np.ndarray], np.ndarray],
+) -> MinimizeResult:
+    """SLSQP descent from x0 subject to box ``bounds`` and ``ineq(x) >= 0``.
+
+    Gradients are forward differences. ``converged`` is the solver's
+    success flag. The end point may violate ``ineq`` by rounding, so a
+    caller that needs exact feasibility restores it itself.
+    """
+    res = scipy.optimize.minimize(
+        f,
+        np.asarray(x0, dtype=float),
+        method="SLSQP",
+        bounds=bounds,
+        constraints=[{"type": "ineq", "fun": ineq}],
+        options={"ftol": SLSQP_TOL, "maxiter": SLSQP_MAX_ITER},
+    )
+    return MinimizeResult(x=np.asarray(res.x, dtype=float), fun=float(res.fun),
+                          nevals=int(res.nfev), converged=bool(res.success))

@@ -272,8 +272,8 @@ def build_problem(level, eps: float | None = 0.0,
     lv = str(level)
     if lv not in LEVELS:
         raise UnsupportedLevelError(f"level must be one of {LEVELS}, got {level!r}")
-    if eps is not None and eps < 0:
-        raise ValueError(f"eps must be nonnegative or None, got {eps}")
+    if eps is not None and not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and nonnegative or None, got {eps}")
     if objective is None:
         objective = DEFAULT_OBJECTIVE
     objective = {canonical(w): float(cf) for w, cf in objective.items()}

@@ -9,22 +9,22 @@ them adds flat directions and nothing else.
 
 Every start draws its own generator from the master seed and a counter,
 and results merge by maximal score with lexicographic parameter
-tie-break, so serial and concurrent execution are bitwise identical.
+tie-break, so a run is a deterministic function of its arguments.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from math import cos, pi, sin, sqrt, tan
+from math import acos, atan2, cos, pi, sin, sqrt, tan
 
 import numpy as np
 
-from .mathcore import MIN_TOL, minimize
+from .mathcore import MIN_TOL, minimize, minimize_constrained
 from .npa import npa_upper_bound
-from .qubit import ConstrainedStateParams, MeasurementParams, closed_form_score
+from .qubit import (ConstrainedStateParams, MeasurementParams, analytic_optimum,
+                    closed_form_score)
 from .scenario import local_max_score
 
 TWO_PI = 2 * pi
@@ -34,6 +34,7 @@ DEFAULT_STARTS = 64
 DEFAULT_SEED = 0
 
 _EDGE = 1e-9          # open-interval guard for the polar angles
+_BOUND_SLACK = 1e-12  # rounding allowed when comparing bounds of a sweep row
 _PEN_BASE = 4.0       # exceeds every attainable |score|, keeps f finite
 
 
@@ -145,17 +146,10 @@ def ansatz_stats(a: float, b: float, s00: float, s01: float,
     return q, p, e10, e01
 
 
-def _nonideal_neg(x, eps: float, w: float) -> float:
+def _nonideal_neg(x) -> float:
     a, b, t1, t2 = x
-    pen = (max(0.0, _EDGE - a) + max(0.0, a - (pi - _EDGE))
-           + max(0.0, _EDGE - b) + max(0.0, b - (pi - _EDGE)))
-    if pen > 0.0:
-        return _PEN_BASE + 100.0 * pen
-    s00, s01, s11 = _chart(t1, t2)
-    q, p, e10, e01 = ansatz_stats(a, b, s00, s01, s11)
-    v1 = max(0.0, e10 - eps)
-    v2 = max(0.0, e01 - eps)
-    return -(p - q) + w * (v1 * v1 + v2 * v2)
+    q, p, _, _ = ansatz_stats(a, b, *_chart(t1, t2))
+    return q - p
 
 
 def _polish(a: float, b: float, t1: float, t2: float,
@@ -164,17 +158,30 @@ def _polish(a: float, b: float, t1: float, t2: float,
 
     Both constraint probabilities are quadratic forms in (s01, s11)
     alone, so shrinking that pair by sqrt(eps / max) scales them onto
-    the boundary; s00 reabsorbs the freed norm with its sign kept.
+    the boundary; s00 reabsorbs the freed norm with its sign kept. At
+    small eps the closed forms cancel, and rounding can leave the
+    rescaled point just outside, so the rescale repeats with a growing
+    margin until the closed forms give max(e10, e01) <= eps.
     """
     s00, s01, s11 = _chart(t1, t2)
-    _, _, e10, e01 = ansatz_stats(a, b, s00, s01, s11)
-    mx = max(e10, e01)
-    if mx > eps:
-        rho = sqrt(eps / mx) * (1.0 - 1e-15)
+    shrink = 1.0 - 1e-15
+    while True:
+        _, _, e10, e01 = ansatz_stats(a, b, s00, s01, s11)
+        mx = max(e10, e01)
+        if not mx > eps:
+            return s00, s01, s11
+        rho = sqrt(eps / mx) * shrink
         s01 *= rho
         s11 *= rho
         s00 = math.copysign(sqrt(max(0.0, 1.0 - 2 * s01 * s01 - s11 * s11)), s00)
-    return s00, s01, s11
+        shrink *= shrink
+
+
+def _ideal_amplitudes(a: float, c: float) -> tuple[float, float, float]:
+    """(s00, s01, s11) of the constrained family at equal angles a and
+    delta = pi, where the ansatz meets both zero constraints."""
+    s01 = -c * tan(a / 2)
+    return -sqrt(max(0.0, 1.0 - 2 * s01 * s01 - c * c)), s01, c
 
 
 def _ideal_to_ansatz(res: OptResult) -> OptResult:
@@ -186,10 +193,7 @@ def _ideal_to_ansatz(res: OptResult) -> OptResult:
     exactly.
     """
     a = (res.params["alpha"] + res.params["beta"]) / 2
-    c = res.params["c"]
-    s11 = c
-    s01 = -c * tan(a / 2)
-    s00 = -sqrt(max(0.0, 1.0 - 2 * s01 * s01 - s11 * s11))
+    s00, s01, s11 = _ideal_amplitudes(a, res.params["c"])
     q, p, e10, e01 = ansatz_stats(a, a, s00, s01, s11)
     params = {"s00": s00, "s01": s01, "s11": s11, "alpha": a, "beta": a,
               "phi": 0.0, "xi": 0.0}
@@ -197,16 +201,28 @@ def _ideal_to_ansatz(res: OptResult) -> OptResult:
                      starts_used=res.starts_used, converged=res.converged)
 
 
+def _analytic_seed() -> np.ndarray:
+    """The eps = 0 optimum in chart coordinates (a, b, t1, t2)."""
+    opt = analytic_optimum()
+    s00, s01, s11 = _ideal_amplitudes(opt.alpha, opt.c)
+    return np.array([opt.alpha, opt.alpha, acos(s00), atan2(s11, SQRT2 * s01)])
+
+
 def optimize_nonideal(eps: float, starts: int = DEFAULT_STARTS,
                       seed: int = DEFAULT_SEED, tol: float = MIN_TOL) -> OptResult:
     """Maximize the simulated score over the ansatz under eps constraints.
 
-    Quadratic penalty with weight doubling (ten rounds), then the exact
-    feasibility polish; the returned point satisfies both constraints
-    strictly. eps = 0 delegates to the ideal search, where the
-    constraints hold identically instead of by penalty (the polish
-    rescale degenerates at eps = 0, collapsing the off-diagonal
-    amplitudes, so the penalty route cannot reach the optimum there).
+    Each start runs one constrained SLSQP solve in the angle chart:
+    alpha and beta stay in the open interval (0, pi) and e10, e01 <= eps
+    through their closed forms. SLSQP can end outside the constraints by
+    rounding, so every end point goes through the exact feasibility
+    polish; the returned point satisfies both constraints strictly.
+    Besides the seeded random starts, the analytic eps = 0 optimum,
+    feasible at every eps, is one more start and, unoptimized, one more
+    candidate, so the result never falls below the ideal optimum as
+    eps -> 0+. eps = 0 delegates to the ideal search, where the
+    constraints hold identically (the polish rescale degenerates at
+    eps = 0, collapsing the off-diagonal amplitudes).
     """
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"eps must lie in [0, 0.5], got {eps}")
@@ -214,26 +230,32 @@ def optimize_nonideal(eps: float, starts: int = DEFAULT_STARTS,
         raise ValueError("starts must be >= 1")
     if eps == 0.0:
         return _ideal_to_ansatz(optimize_ideal(starts=starts, seed=seed, tol=tol))
-    cands = []
-    for k in range(starts):
-        rng = np.random.default_rng([seed, k])
-        x = np.array([rng.uniform(0.2, pi - 0.2), rng.uniform(0.2, pi - 0.2),
-                      rng.uniform(0.1, pi / 2), rng.uniform(0.0, TWO_PI)])
-        w = 1e4
-        conv = False
-        for rnd in range(10):
-            res = minimize(lambda v: _nonideal_neg(v, eps, w), x,
-                           tolerance=1e-13,
-                           max_evals=6000 if rnd == 0 else 2000,
-                           simplex_scale=0.2 if rnd == 0 else 0.02)
-            x = res.x
-            conv = res.converged
-            w *= 2.0
+
+    def candidate(x, conv):
         a, b, t1, t2 = x
         s00, s01, s11 = _polish(a, b, t1, t2, eps)
         q, p, e10, e01 = ansatz_stats(a, b, s00, s01, s11)
-        cands.append((p - q, (s00, s01, s11, a, b), conv, (e10, e01)))
-    score, prm, conv, (e10, e01) = max(cands, key=lambda t: (t[0], tuple(-v for v in t[1])))
+        return p - q, (s00, s01, s11, a, b), conv, (e10, e01)
+
+    bounds = [(_EDGE, pi - _EDGE)] * 2 + [(None, None)] * 2
+
+    def slack(x):
+        _, _, e10, e01 = ansatz_stats(x[0], x[1], *_chart(x[2], x[3]))
+        return np.array([eps - e10, eps - e01])
+
+    x0s = []
+    for k in range(starts):
+        rng = np.random.default_rng([seed, k])
+        x0s.append(np.array([rng.uniform(0.2, pi - 0.2), rng.uniform(0.2, pi - 0.2),
+                             rng.uniform(0.1, pi / 2), rng.uniform(0.0, TWO_PI)]))
+    x0s.append(_analytic_seed())
+    cands = []
+    for x0 in x0s:
+        res = minimize_constrained(_nonideal_neg, x0, bounds, slack)
+        cands.append(candidate(res.x, res.converged))
+    # the seed itself, in case its solve ended lower; ``res`` is the seed's run
+    cands.append(candidate(x0s[-1], res.converged))
+    score, prm, conv, (e10, e01) = _best(cands)
     s00, s01, s11, a, b = prm
     params = {"s00": s00, "s01": s01, "s11": s11, "alpha": a, "beta": b,
               "phi": 0.0, "xi": 0.0}
@@ -282,19 +304,20 @@ def optimize_hardy(starts: int = DEFAULT_STARTS, seed: int = DEFAULT_SEED,
 # -- sweep --------------------------------------------------------------
 
 def sweep_epsilon(eps_grid, level=2, starts: int = DEFAULT_STARTS,
-                  seed: int = DEFAULT_SEED, threads: int = 0) -> list[SweepRecord]:
+                  seed: int = DEFAULT_SEED) -> list[SweepRecord]:
     """Local bound, quantum lower bound, and relaxation upper bound per
     grid point.
 
-    The grid must be ascending within [0, 0.5]. Points are independent;
-    ``threads`` > 1 runs them on a thread pool with the same per-point
-    seeds, so the output does not depend on the execution schedule. A
-    failing point is recorded with an error status instead of aborting
-    the sweep.
+    The grid must be ascending within [0, 0.5]. Points are independent
+    and each uses the same seed. A failing point, or one whose lower
+    bound falls below the local bound (the two-qubit ansatz does so for
+    eps above about 0.37), is recorded with an error status instead of
+    aborting the sweep.
     """
     grid = [float(e) for e in eps_grid]
-    if any(e < 0.0 or e > 0.5 for e in grid):
-        raise ValueError("grid values must lie in [0, 0.5]")
+    bad = [e for e in grid if not 0.0 <= e <= 0.5]
+    if bad:
+        raise ValueError(f"grid values must lie in [0, 0.5], got {bad[0]}")
     if any(y < x for x, y in zip(grid, grid[1:])):
         raise ValueError("grid must be ascending")
 
@@ -303,16 +326,15 @@ def sweep_epsilon(eps_grid, level=2, starts: int = DEFAULT_STARTS,
             local = local_max_score(e)
             low = optimize_nonideal(e, starts=starts, seed=seed)
             up = npa_upper_bound(level, e)
-            return SweepRecord(eps=e, local_bound=local, quantum_lower=low.score,
-                               quantum_upper=up, level=str(level), status="ok",
-                               params=low.params)
         except Exception as exc:  # per-point failures must not kill the sweep
             return SweepRecord(eps=e, local_bound=float("nan"),
                                quantum_lower=float("nan"),
                                quantum_upper=float("nan"), level=str(level),
                                status=f"error: {exc}", params=None)
+        status = ("ok" if low.score >= local - _BOUND_SLACK
+                  else "error: quantum_lower below local_bound")
+        return SweepRecord(eps=e, local_bound=local, quantum_lower=low.score,
+                           quantum_upper=up, level=str(level), status=status,
+                           params=low.params)
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(point, grid))
     return [point(e) for e in grid]

@@ -186,8 +186,8 @@ def local_max_score(eps: float) -> float:
     e10 <= eps, e01 <= eps. Always feasible (the all-"+" strategy has
     e10 = e01 = 0), so the LP has an optimum for every eps >= 0.
     """
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     score, e10, e01 = _VERTICES.T
     ones = np.ones(16)
     # normalization written as a pair of <= rows so LPProblem stays pure-inequality

@@ -257,6 +257,8 @@ def assemble_direct_sum(weights, phases: tuple[float, float] = (0.0, 0.0)) -> Di
         mu = np.diag(mu)
     elif mu.ndim != 2:
         raise BadWeightsError("weights must be a vector or a matrix")
+    if not np.isfinite(mu).all():
+        raise BadWeightsError(f"weights must be finite, got {weights}")
     if mu.min() < -1e-12 or abs(mu.sum() - 1.0) > 1e-9:
         raise BadWeightsError(
             f"weights must be nonnegative and sum to 1 (sum = {mu.sum():.12f})"

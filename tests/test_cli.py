@@ -124,6 +124,21 @@ def test_selftest_bad_weights_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["selftest", "--weights", "nan,1"], "weights must be finite"),
+    (["local-bound", "--eps", "nan"], "eps must be finite"),
+    (["npa", "--eps", "nan"], "eps must be finite"),
+    (["npa", "--eps", "inf"], "eps must be finite"),
+    (["sweep", "--eps-min", "nan", "--eps-max", "nan", "--steps", "1"],
+     "grid values must lie in [0, 0.5]"),
+])
+def test_non_finite_input_is_usage_error(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{argv[0]}: {message}")
+
+
 def test_sweep_verb_writes_csv(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, out, err = run_cli(

@@ -134,6 +134,15 @@ def test_nonideal_eps_zero_embeds_ideal(ideal):
     assert r.e10 <= 1e-9 and r.e01 <= 1e-9
 
 
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 1e-3])
+def test_nonideal_never_below_ideal_as_eps_vanishes(eps):
+    r = optimize_nonideal(eps, starts=4)
+    assert r.score >= oracles.OPT_SCORE - 1e-12
+    assert r.e10 <= eps and r.e01 <= eps
+    stats = _stats_from_ansatz(r.params)
+    assert abs(stats.score - r.score) < 1e-12
+
+
 def test_nonideal_monotone_in_eps():
     lo = optimize_nonideal(0.3, starts=16)
     hi = optimize_nonideal(0.5, starts=16)
@@ -196,11 +205,11 @@ def test_sweep_grid_coincidence_and_monotonicity():
     assert all(b >= a - 1e-9 for a, b in zip(lows, lows[1:]))
 
 
-def test_sweep_serial_equals_threaded():
-    grid = [0.02, 0.08]
-    serial = sweep_epsilon(grid, starts=8, threads=0)
-    threaded = sweep_epsilon(grid, starts=8, threads=2)
-    assert serial == threaded
+def test_sweep_flags_lower_below_local():
+    # the ansatz optimum falls below min(2 eps, 1) for eps above ~0.37
+    (r,) = sweep_epsilon([0.45], starts=4)
+    assert r.quantum_lower < r.local_bound
+    assert r.status == "error: quantum_lower below local_bound"
 
 
 def test_sweep_rejects_bad_grid():
