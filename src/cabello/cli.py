@@ -164,7 +164,7 @@ def _run_npa(o, out) -> int:
                     tol=o["tol"], max_iter=o["max_iter"])
     print(f"level={o['level']} eps={_fmt(o['eps'])} status={sol.status} "
           f"iterations={sol.iterations} primal={sol.primal_residual:.3e} "
-          f"dual={sol.dual_residual:.3e}", file=sys.stderr)
+          f"dual={sol.dual_residual:.3e} gap={sol.gap:.3e}", file=sys.stderr)
     _emit(_fmt(sol.value) + "\n", out)
     return 0 if sol.status == "Converged" else 1
 

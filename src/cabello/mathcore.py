@@ -3,8 +3,7 @@ throughout: Hermitian eigendecomposition, a small dense LP solver, a
 derivative-free local minimizer, and a constrained SLSQP minimizer.
 
 Matrices are plain complex numpy arrays. Everything here is a pure
-function of its arguments, so the module is safe to call from worker
-threads without locking.
+function of its arguments.
 
 Default tolerances are set once here and inherited by the callers:
 ``EIG_TOL`` for eigensolves, ``LP_TOL`` for linear programs, ``MIN_TOL``

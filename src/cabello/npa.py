@@ -8,28 +8,48 @@ commute) and collapses adjacent duplicates (projectors are idempotent).
 The "-" projectors never appear: completeness eliminates them, e.g. the
 first penalized probability is <a1> - <a1 b0>.
 
-The SDP is solved by ADMM, alternating a closed-form projection onto
-the affine constraints (moment-cell averaging plus a small equality
-solve whose normal matrix is factored once) with a PSD cone projection.
-Inequality rows enter through nonnegative slack scalars appended to the
-matrix as 1x1 diagonal blocks, so each iteration projects one cone.
+The relaxation is: maximize c.y subject to X(y) = sum_k y_k E_k >= 0
+(PSD) and A y = d, where E_k is the 0/1 matrix of the cells of moment
+class k. Inequality rows enter through nonnegative slack scalars
+appended to the matrix as 1x1 diagonal blocks. Its dual is: minimize
+d.lambda subject to A^T lambda - X*(Z) = c and Z >= 0, where X*(Z)_k
+is the sum of Z over the cells of class k. solve() runs a primal-dual
+interior-point method on this pair (HKM direction, Mehrotra
+predictor-corrector; Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J.
+Optim. 6, 342 (1996)) from the infeasible start y = 0, S = Z = I,
+lambda = 0.
+
+The reported value is not the objective at the primal iterate but a
+weak-duality bound built from the final dual iterate (Jansson, Chaykin
+& Keil, SIAM J. Numer. Anal. 46, 180 (2007)). Clip Z to its PSD part
+Z+ and let r = c - A^T lambda + X*(Z+). For every feasible y,
+c.y = r.y + d.lambda - <Z+, X(y)> <= d.lambda + sum_k |r_k| u_k, given
+|y_k| <= u_k on the feasible set. u_k = 1 holds for every moment class:
+a diagonal entry <w^dag w> is at most the diagonal entry of w with its
+first letter dropped (the 2x2 minor on the two words, whose off-diagonal
+cell is the same class as the diagonal one), hence at most <1> = 1 by
+induction, and off-diagonal entries are bounded by Cauchy-Schwarz. A
+slack equals eps - <a1> + <a1 b0> (or its Bob twin), which lies in
+[0, 1 + eps], so u_k = 1 + eps for the slacks. The bound holds for any
+dual iterate, converged or not, up to floating-point rounding.
 
 At eps = 0 the feasible set has empty interior: positive
 semidefiniteness alone forces both penalized moments to be nonnegative,
-so the constraints pin them to zero and splitting methods stall while
-interior-point solvers lose accuracy. solve() therefore applies an
-exact presolve in that case. On the zero face the Gram vectors of a1
-and a1 b0 coincide (their distance squared is the first penalized
-moment), likewise b1 and a0 b1, which induces word rewrites: a trailing
-a1 on the Alice side absorbs a trailing b0 on the Bob side, and a
-trailing b1 absorbs a trailing a0. Moment classes are merged under the
-closure of these rewrites and adjoints, redundant rows are dropped, and
-the reduced problem regains a strictly feasible interior. The solution
-is lifted back to the full moment matrix afterwards; the lift is exact
-because every feasible point of the original problem satisfies the
-merges, and the lifted matrix is checked against the usual residual
-invariants.
+so the constraints pin them to zero and an interior-point method has no
+interior to follow. solve() therefore applies an exact presolve in that
+case. On the zero face the Gram vectors of a1 and a1 b0 coincide (their
+distance squared is the first penalized moment), likewise b1 and a0 b1,
+which induces word rewrites: a trailing a1 on the Alice side absorbs a
+trailing b0 on the Bob side, and a trailing b1 absorbs a trailing a0.
+Moment classes are merged under the closure of these rewrites and
+adjoints; the inequality rows hold identically on the merged classes,
+so they and their slacks are dropped, and the reduced problem regains a
+strictly feasible interior. Every feasible point of the original
+problem satisfies the merges, so a bound on the reduced problem also
+bounds the original, and its class vector lifts exactly onto the full
+moment matrix.
 """
+
 
 from __future__ import annotations
 
@@ -44,9 +64,8 @@ LEVELS = ("1", "1+AB", "2", "3")
 
 DEFAULT_OBJECTIVE: Mapping[Word, float] = {("a1", "b1"): 1.0, ("a0", "b0"): -1.0}
 
-DEFAULT_RHO = 1.0
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 200000
+DEFAULT_MAX_ITER = 100  # Newton steps
 
 
 class UnsupportedLevelError(ValueError):
@@ -186,7 +205,6 @@ class NPAProblem:
     m: int
     class_keys: tuple[Word, ...]
     cell_class: np.ndarray
-    mult: np.ndarray
     A: np.ndarray
     d: np.ndarray
     cvec: np.ndarray
@@ -195,9 +213,18 @@ class NPAProblem:
 
 @dataclass(frozen=True)
 class SDPSolution:
-    """Solver output: the moment matrix is the words-only block, class
-    consistent, with minimum eigenvalue above -1e-7 at default
-    tolerance; ``value`` is the objective evaluated on that matrix."""
+    """Solver output.
+
+    ``value`` is the weak-duality bound of the final dual iterate (see
+    the module docstring), valid whatever the status; ``gap`` is that
+    value minus the objective at the primal iterate. The moment matrix
+    is the words-only block of the primal iterate, lifted from the
+    reduced problem at eps = 0, exactly class consistent and PSD up to
+    the primal residual. ``iterations`` counts Newton steps. ``status``
+    is "Converged" when the primal residual, the dual residual and the
+    primal-dual objective difference are all below tol, "MaxIter" when
+    the step cap came first, and "Stalled" when a factorization failed.
+    """
 
     value: float
     moment_matrix: np.ndarray
@@ -205,6 +232,7 @@ class SDPSolution:
     dual_residual: float
     iterations: int
     status: str
+    gap: float
 
 
 def _assemble(words: list[Word], keyfn, eps, objective):
@@ -223,7 +251,6 @@ def _assemble(words: list[Word], keyfn, eps, objective):
     keys = sorted(classes, key=lambda k: (len(k), k))
     kidx = {k: i for i, k in enumerate(keys)}
     K = len(keys)
-    mult = np.array([len(classes[k]) for k in keys], dtype=float)
 
     def row(coefs: Mapping[Word, float]) -> np.ndarray:
         r = np.zeros(K)
@@ -243,20 +270,15 @@ def _assemble(words: list[Word], keyfn, eps, objective):
         rhs.append(float(eps))
     cvec = row(objective)
 
-    # cells outside every class (moment-slack cross entries) stay -1 and
-    # are pinned to zero by the affine projection
+    # cells outside every class (moment-slack cross entries) stay -1:
+    # the relaxation's matrix is zero there
     cell_class = np.full((m, m), -1, dtype=int)
-    ci, cj, ck = [], [], []
     for k, kk in enumerate(keys):
         for (i, j) in classes[kk]:
             cell_class[i, j] = k
-            ci.append(i)
-            cj.append(j)
-            ck.append(k)
-    return dict(n=n, m=m, K=K, keys=tuple(keys), kidx=kidx, mult=mult,
+    return dict(n=n, m=m, K=K, keys=tuple(keys), kidx=kidx,
                 A=np.array(rows), d=np.array(rhs), cvec=cvec,
-                cell_class=cell_class,
-                cells=(np.array(ci), np.array(cj), np.array(ck)))
+                cell_class=cell_class)
 
 
 def build_problem(level, eps: float | None = 0.0,
@@ -281,150 +303,127 @@ def build_problem(level, eps: float | None = 0.0,
     s = _assemble(words, plain_key, eps, objective)
     return NPAProblem(level=lv, eps=eps, words=tuple(words), n=s["n"], m=s["m"],
                       class_keys=s["keys"], cell_class=s["cell_class"],
-                      mult=s["mult"], A=s["A"], d=s["d"], cvec=s["cvec"],
+                      A=s["A"], d=s["d"], cvec=s["cvec"],
                       objective=tuple(sorted(objective.items())))
 
 
-# -- ADMM ---------------------------------------------------------------
+# -- interior-point solver ------------------------------------------------
 
-class _Factorization:
-    """Cells, multiplicities, and the Cholesky factor of the normal
-    matrix of the equality rows; reused across eps values at a fixed
-    level since eps only moves the right-hand side."""
+class _Relaxation:
+    """One assembled relaxation: class cells as a stack of 0/1 matrices,
+    equality rows, objective, the slack classes (certificate bound
+    1 + eps) and the class of every cell of the level's full moment
+    matrix (the lift). eps only moves the right-hand side, so one
+    object serves every eps at a level."""
 
-    def __init__(self, assembled):
-        self.n = assembled["n"]
-        self.m = assembled["m"]
-        self.K = assembled["K"]
-        self.keys = assembled["keys"]
-        self.kidx = assembled["kidx"]
-        self.mult = assembled["mult"]
-        self.Dinv = 1.0 / self.mult
-        self.A = assembled["A"]
-        self.ci, self.cj, self.ck = assembled["cells"]
-        self.normal_chol = np.linalg.cholesky((self.A * self.Dinv) @ self.A.T)
-        self.cvec = assembled["cvec"]
-        self.Cmat = np.zeros((self.m, self.m))
-        self.Cmat[self.ci, self.cj] = (self.cvec * self.Dinv)[self.ck]
+    def __init__(self, level: str, reduced: bool, slacks: bool, objective):
+        full = words_for_level(level)
+        words = [w for w in full if strip_fix(w) == w] if reduced else full
+        keyfn = merged_key if reduced else plain_key
+        s = _assemble(words, keyfn, 0.0 if slacks else None, dict(objective))
+        self.E = (s["cell_class"] == np.arange(s["K"])[:, None, None]).astype(float)
+        self.A, self.c = s["A"], s["cvec"]
+        self.slack = np.array([k in (("s1",), ("s2",)) for k in s["keys"]])
+        self.lift = np.array([[s["kidx"][keyfn(canonical(tuple(reversed(u)) + v))]
+                               for v in full] for u in full])
 
 
-def _admm(f: _Factorization, d: np.ndarray, rho: float, tol: float,
-          max_iter: int):
-    """Alternate affine and PSD projections; returns the affine-exact
-    iterate, its class vector, residuals, iteration count, convergence."""
-    m, K = f.m, f.K
-    ci, cj, ck = f.ci, f.cj, f.ck
-    Dinv, A, L = f.Dinv, f.A, f.normal_chol
+def _ipm(rel: _Relaxation, d: np.ndarray, tol: float, max_iter: int):
+    """Primal-dual interior-point method; returns y, lambda, Z, the
+    primal and dual residual norms, the Newton steps taken and the
+    status."""
+    A, c, E = rel.A, rel.c, rel.E
+    K, m = E.shape[:2]
+    Ef = E.reshape(K, -1)
 
-    def proj_affine(w_mat):
-        yhat = np.zeros(K)
-        np.add.at(yhat, ck, w_mat[ci, cj])
-        yhat *= Dinv
-        lam = np.linalg.solve(L.T, np.linalg.solve(L, A @ yhat - d))
-        y = yhat - Dinv * (A.T @ lam)
-        x = np.zeros((m, m))
-        x[ci, cj] = y[ck]
-        return x, y
+    def X(v):
+        return (v @ Ef).reshape(m, m)
 
-    X = np.zeros((m, m))
-    Z = np.zeros((m, m))
-    U = np.zeros((m, m))
-    y = np.zeros(K)
-    r = s = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        X, y = proj_affine(Z - U + f.Cmat / rho)
-        W = X + U
-        lam, V = np.linalg.eigh((W + W.T) / 2)
-        Zn = (V * np.maximum(lam, 0.0)) @ V.T
-        r = float(np.linalg.norm(X - Zn))
-        s = float(rho * np.linalg.norm(Zn - Z))
-        Z = Zn
-        U = U + X - Z
-        if max(r, s) < tol:
-            return X, y, r, s, it, True
-        if it % 100 == 0:  # residual balancing keeps the two norms comparable
-            if r > 10 * s:
-                rho *= 2.0
-                U /= 2.0
-            elif s > 10 * r:
-                rho /= 2.0
-                U *= 2.0
-    return X, y, r, s, it, False
+    def step(Li, D):
+        # 0.95 of the way to the PSD boundary from L L^T along D, capped at 1
+        low = np.linalg.eigvalsh(Li @ D @ Li.T)[0]
+        return 1.0 if low >= -0.95 else -0.95 / low
 
+    y, lam = np.zeros(K), np.zeros(len(d))
+    S, Z = np.eye(m), np.eye(m)
+    it, status = 0, "MaxIter"
+    while True:
+        Rp, rp = X(y) - S, d - A @ y
+        rd = c - A.T @ lam + Ef @ Z.ravel()
+        pres = float(np.sqrt(np.sum(Rp * Rp) + rp @ rp))
+        dres = float(np.linalg.norm(rd))
+        if max(pres, dres, abs(d @ lam - c @ y)) < tol:
+            status = "Converged"
+            break
+        if it == max_iter:
+            break
+        try:
+            LiS = np.linalg.inv(np.linalg.cholesky(S))
+            LiZ = np.linalg.inv(np.linalg.cholesky(Z))
+            W = LiS.T @ LiS
+            # HKM Schur complement M_kl = tr(E_k Z E_l W), W = S^-1
+            M = Ef @ (W @ E @ Z).reshape(K, -1).T
+            kkt = np.block([[M, A.T], [A, np.zeros((len(d), len(d)))]])
+            ZRW = Z @ Rp @ W
 
-_fact_cache: dict[tuple, _Factorization] = {}
+            def direction(G):
+                # G = sigma mu W - Z - Z Rp W [- dZ_aff dS_aff W] comes from
+                # linearizing Z S = sigma mu I with dS = X(dy) + Rp
+                sol = np.linalg.solve(kkt, np.concatenate((rd + Ef @ G.ravel(), rp)))
+                dy = sol[:K]
+                dZ = G - Z @ X(dy) @ W
+                return dy, sol[K:], X(dy) + Rp, (dZ + dZ.T) / 2
 
-
-def _factorization(level: str, reduced: bool, has_ineq: bool,
-                   objective: tuple[tuple[Word, float], ...]) -> _Factorization:
-    key = (level, reduced, has_ineq, objective)
-    if key not in _fact_cache:
-        if reduced:
-            words = [w for w in words_for_level(level) if strip_fix(w) == w]
-            keyfn = merged_key
-        else:
-            words = words_for_level(level)
-            keyfn = plain_key
-        eps_marker = 0.0 if has_ineq else None
-        _fact_cache[key] = _Factorization(
-            _assemble(words, keyfn, eps_marker, dict(objective)))
-    return _fact_cache[key]
+            mu = np.sum(S * Z) / m
+            dy, dl, dS, dZ = direction(-Z - ZRW)
+            ap, ad = step(LiS, dS), step(LiZ, dZ)
+            sigma = min(1.0, (np.sum((S + ap * dS) * (Z + ad * dZ)) / m / mu) ** 3)
+            dy, dl, dS, dZ = direction(sigma * mu * W - Z - ZRW - dZ @ dS @ W)
+            ap, ad = step(LiS, dS), step(LiZ, dZ)
+        except np.linalg.LinAlgError:
+            status = "Stalled"
+            break
+        y, S = y + ap * dy, S + ap * dS
+        lam, Z = lam + ad * dl, Z + ad * dZ
+        it += 1
+    return y, lam, Z, pres, dres, it, status
 
 
-def _value_from_matrix(gamma: np.ndarray, words: tuple[Word, ...],
-                       objective) -> float:
-    """Evaluate the objective on a class-consistent moment matrix."""
-    index = {}
-    n = len(words)
-    for i in range(n):
-        for j in range(n):
-            w = canonical(tuple(reversed(words[i])) + words[j])
-            index.setdefault(w, (i, j))
-    total = 0.0
-    for w, cf in objective:
-        i, j = index[w]
-        total += cf * gamma[i, j]
-    return float(total)
+_relaxation_cache: dict[tuple, _Relaxation] = {}
 
 
-def solve(p: NPAProblem, rho: float = DEFAULT_RHO, tol: float = DEFAULT_TOL,
+def _relaxation(*key) -> _Relaxation:
+    if key not in _relaxation_cache:
+        _relaxation_cache[key] = _Relaxation(*key)
+    return _relaxation_cache[key]
+
+
+def solve(p: NPAProblem, tol: float = DEFAULT_TOL,
           max_iter: int = DEFAULT_MAX_ITER) -> SDPSolution:
-    """Maximize the objective over the relaxation.
+    """Bound the objective over the relaxation from above.
 
-    eps = 0 takes the presolved route (see module docstring): the
-    merged problem is solved and its class vector is lifted onto the
-    full word list. Either way the returned moment matrix is exactly
-    class-consistent and the value is the objective evaluated on it.
-    Status is "MaxIter" with the best iterate when the iteration cap is
-    reached before the residuals fall below tol.
+    eps = 0 takes the presolved route (see module docstring). The value
+    is the weak-duality bound of the final dual iterate, valid also when
+    the status is not "Converged".
     """
     reduced = p.eps == 0.0
-    f = _factorization(p.level, reduced, p.eps is not None, p.objective)
-    d = p.d if not reduced else np.concatenate(([1.0], np.zeros(len(p.d) - 1)))
-    X, y, r, s, it, ok = _admm(f, d, rho, tol, max_iter)
-    if reduced:
-        n = p.n
-        gamma = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                w = canonical(tuple(reversed(p.words[i])) + p.words[j])
-                gamma[i, j] = y[f.kidx[merged_key(w)]]
-    else:
-        gamma = X[:p.n, :p.n].copy()
-    value = _value_from_matrix(gamma, p.words, p.objective)
-    return SDPSolution(value=value, moment_matrix=gamma, primal_residual=r,
-                       dual_residual=s, iterations=it,
-                       status="Converged" if ok else "MaxIter")
+    rel = _relaxation(p.level, reduced, p.eps is not None and not reduced, p.objective)
+    d = p.d[:len(rel.A)]  # the reduced problem keeps only the normalization row
+    y, lam, Z, pres, dres, it, status = _ipm(rel, d, tol, max_iter)
+    w, V = np.linalg.eigh(Z)
+    z_plus = (V * np.maximum(w, 0.0)) @ V.T
+    r = rel.c - rel.A.T @ lam + rel.E.reshape(len(y), -1) @ z_plus.ravel()
+    u = 1.0 + (p.eps or 0.0) * rel.slack  # |y_k| <= u_k, see module docstring
+    value = float(d @ lam + np.abs(r) @ u)
+    return SDPSolution(value=value, moment_matrix=y[rel.lift], primal_residual=pres,
+                       dual_residual=dres, iterations=it, status=status,
+                       gap=value - float(rel.c @ y))
 
 
-def npa_upper_bound(level, eps: float | None = 0.0, rho: float = DEFAULT_RHO,
-                    tol: float = DEFAULT_TOL,
+def npa_upper_bound(level, eps: float | None = 0.0, tol: float = DEFAULT_TOL,
                     max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Upper bound on the score at a hierarchy level: build then solve.
-
-    The affine factorization is cached per level and formulation, so
-    sweeping eps at a fixed level re-solves but never re-factors.
+    """Certified upper bound on the score at a hierarchy level: build
+    then solve. The assembled relaxation is cached per level and
+    formulation, so sweeping eps at a fixed level never re-assembles.
     """
-    return solve(build_problem(level, eps), rho=rho, tol=tol,
-                 max_iter=max_iter).value
+    return solve(build_problem(level, eps), tol=tol, max_iter=max_iter).value

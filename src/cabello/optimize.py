@@ -22,7 +22,7 @@ from math import acos, atan2, cos, pi, sin, sqrt, tan
 import numpy as np
 
 from .mathcore import MIN_TOL, minimize, minimize_constrained
-from .npa import npa_upper_bound
+from . import npa
 from .qubit import (ConstrainedStateParams, MeasurementParams, analytic_optimum,
                     closed_form_score)
 from .scenario import local_max_score
@@ -309,10 +309,12 @@ def sweep_epsilon(eps_grid, level=2, starts: int = DEFAULT_STARTS,
     grid point.
 
     The grid must be ascending within [0, 0.5]. Points are independent
-    and each uses the same seed. A failing point, or one whose lower
-    bound falls below the local bound (the two-qubit ansatz does so for
-    eps above about 0.37), is recorded with an error status instead of
-    aborting the sweep.
+    and each uses the same seed. A failing point is recorded with an
+    error status instead of aborting the sweep, and so is one whose
+    relaxation solve did not converge (its upper bound is still
+    certified), whose lower bound falls below the local bound (the
+    two-qubit ansatz does so for eps above about 0.37), or whose upper
+    bound falls below its lower bound.
     """
     grid = [float(e) for e in eps_grid]
     bad = [e for e in grid if not 0.0 <= e <= 0.5]
@@ -325,16 +327,22 @@ def sweep_epsilon(eps_grid, level=2, starts: int = DEFAULT_STARTS,
         try:
             local = local_max_score(e)
             low = optimize_nonideal(e, starts=starts, seed=seed)
-            up = npa_upper_bound(level, e)
+            up = npa.solve(npa.build_problem(level, e))
         except Exception as exc:  # per-point failures must not kill the sweep
             return SweepRecord(eps=e, local_bound=float("nan"),
                                quantum_lower=float("nan"),
                                quantum_upper=float("nan"), level=str(level),
                                status=f"error: {exc}", params=None)
-        status = ("ok" if low.score >= local - _BOUND_SLACK
-                  else "error: quantum_lower below local_bound")
+        if up.status != "Converged":
+            status = f"error: npa {up.status}"
+        elif low.score < local - _BOUND_SLACK:
+            status = "error: quantum_lower below local_bound"
+        elif up.value < low.score - _BOUND_SLACK:
+            status = "error: quantum_upper below quantum_lower"
+        else:
+            status = "ok"
         return SweepRecord(eps=e, local_bound=local, quantum_lower=low.score,
-                           quantum_upper=up, level=str(level), status=status,
+                           quantum_upper=up.value, level=str(level), status=status,
                            params=low.params)
 
     return [point(e) for e in grid]

@@ -102,6 +102,7 @@ def test_npa_verb(capsys):
     assert code == 0
     assert abs(float(out.strip()) - oracles.NPA_EPS0["1+AB"]) < 5e-7
     assert "iterations" in err  # diagnostics stay on stderr
+    assert "gap=" in err
 
 
 def test_hardy_verb(capsys):

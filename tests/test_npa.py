@@ -1,5 +1,8 @@
 """Tests for the moment-matrix relaxation: word algebra, problem
-assembly, the splitting solver, and the frozen reference values."""
+assembly, the interior-point solver and its certificate, and the frozen
+reference values."""
+
+import time
 
 import numpy as np
 import pytest
@@ -169,6 +172,35 @@ def test_upper_bound_dominates_known_quantum_points():
         assert npa_upper_bound("2", eps=eps) >= ref - 1e-6
 
 
+def test_upper_bound_never_below_attainable_values():
+    # a certified bound needs no slack: the ideal optimum is attainable
+    # at every level, and at eps = 0.5 so is the local bound 1
+    for level in LEVELS:
+        assert npa_upper_bound(level, eps=0.0) >= oracles.OPT_SCORE
+    assert npa_upper_bound("2", eps=0.5) >= 1.0
+
+
+def test_early_stop_still_certifies():
+    # the weak-duality value bounds the relaxation from every dual iterate
+    for eps, attainable in ((0.0, oracles.OPT_SCORE), (0.1, 0.2)):
+        p = build_problem("2", eps=eps)
+        for k in range(6):
+            sol = solve(p, max_iter=k)
+            assert sol.status == "MaxIter" and sol.iterations == k
+            assert sol.value >= attainable
+
+
+def test_tiny_eps_returns_a_bound_within_the_step_cap():
+    # the interior is thin at eps = 1e-6; the solve may stall but must
+    # end quickly with a valid bound
+    t0 = time.perf_counter()
+    sol = solve(build_problem("2", eps=1e-6))
+    assert time.perf_counter() - t0 < 5.0
+    assert sol.iterations <= npa.DEFAULT_MAX_ITER
+    # the nonideal lower bound at eps = 1e-6
+    assert sol.value >= 0.108504858880
+
+
 def test_repeat_solves_are_identical():
     p = build_problem("1+AB", eps=0.05)
     a = solve(p)
@@ -179,12 +211,12 @@ def test_repeat_solves_are_identical():
 
 
 def test_factorization_cache_reused_across_eps():
-    before = len(npa._fact_cache)
+    before = len(npa._relaxation_cache)
     npa_upper_bound("1", eps=0.11)
-    mid = len(npa._fact_cache)
+    mid = len(npa._relaxation_cache)
     npa_upper_bound("1", eps=0.22)
-    after = len(npa._fact_cache)
-    # the second eps shares the cached factorization (same matrices)
+    after = len(npa._relaxation_cache)
+    # the second eps shares the cached relaxation (same matrices)
     assert after == mid
     assert mid <= before + 1
 

@@ -1,10 +1,12 @@
 """Tests for the multistart searches and the epsilon sweep."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from cabello import npa
 from cabello.npa import npa_upper_bound
 from cabello.optimize import (
     OptResult,
@@ -203,6 +205,26 @@ def test_sweep_grid_coincidence_and_monotonicity():
         assert r.quantum_lower <= r.quantum_upper + 1e-6
         assert abs(r.local_bound - local_max_score(r.eps)) < 1e-12
     assert all(b >= a - 1e-9 for a, b in zip(lows, lows[1:]))
+
+
+def test_sweep_rows_keep_bound_order_on_benchmark_grid():
+    # the grid of the benchmark's sweep workload, at the default starts;
+    # the certified upper bound needs no slack against the lower bound
+    for r in sweep_epsilon([0.0, 0.05, 0.1, 0.15]):
+        assert r.status == "ok"
+        assert r.local_bound <= r.quantum_lower <= r.quantum_upper
+
+
+def test_sweep_flags_unconverged_and_inverted_upper(monkeypatch):
+    solve = npa.solve
+    monkeypatch.setattr(npa, "solve", lambda p: solve(p, max_iter=2))
+    (r,) = sweep_epsilon([0.1], starts=4)
+    assert r.status == "error: npa MaxIter"
+    assert r.quantum_upper >= r.quantum_lower  # still a certified bound
+    monkeypatch.setattr(npa, "solve", lambda p: dataclasses.replace(
+        solve(p), value=0.0))
+    (r,) = sweep_epsilon([0.1], starts=4)
+    assert r.status == "error: quantum_upper below quantum_lower"
 
 
 def test_sweep_flags_lower_below_local():
