@@ -1,14 +1,14 @@
 """Dense complex linear algebra plus the numerical kernels used
-throughout: Hermitian eigendecomposition, a small dense LP solver, a
-derivative-free local minimizer, and a constrained SLSQP minimizer.
+throughout: Hermitian eigendecomposition, a small dense LP solver, and a
+gradient-based local minimizer (SLSQP) under box bounds and inequality
+constraints.
 
 Matrices are plain complex numpy arrays. Everything here is a pure
 function of its arguments.
 
 Default tolerances are set once here and inherited by the callers:
-``EIG_TOL`` for eigensolves, ``LP_TOL`` for linear programs, ``MIN_TOL``
-for the simplex minimizer, ``SLSQP_TOL`` and ``SLSQP_MAX_ITER`` for the
-constrained minimizer.
+``EIG_TOL`` for eigensolves, ``LP_TOL`` for linear programs,
+``SLSQP_TOL`` and ``SLSQP_MAX_ITER`` for the minimizer.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import scipy.optimize
 
 EIG_TOL = 1e-12
 LP_TOL = 1e-9
-MIN_TOL = 1e-10
 SLSQP_TOL = 1e-12
 SLSQP_MAX_ITER = 200
 
@@ -150,11 +149,11 @@ def solve_lp(p: LPProblem, tol: float = LP_TOL) -> tuple[float, np.ndarray]:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Best point found by ``minimize`` or ``minimize_constrained``.
+    """End point of ``minimize``.
 
-    ``converged`` is False when the evaluation budget ran out before the
-    simplex shrank below tolerance (or, for SLSQP, when the solver did
-    not report success); the best-so-far point is still returned.
+    ``nevals`` counts objective plus gradient evaluations. ``converged``
+    is the solver's success flag; when it is False (for instance, the
+    iteration cap was reached) the last iterate is still returned.
     """
 
     x: np.ndarray
@@ -165,59 +164,30 @@ class MinimizeResult:
 
 def minimize(
     f: Callable[[np.ndarray], float],
-    x0: Sequence[float],
-    tolerance: float = MIN_TOL,
-    max_evals: int = 20000,
-    simplex_scale: float = 0.1,
-) -> MinimizeResult:
-    """Nelder-Mead descent from x0 with standard coefficients.
-
-    The initial simplex is x0 plus ``simplex_scale`` along each
-    coordinate axis, so the run is a deterministic function of the
-    arguments. The caller is responsible for mapping constraint
-    violations to large finite penalties inside ``f``.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    simplex = np.vstack([x0] + [x0 + simplex_scale * np.eye(n)[i] for i in range(n)])
-    res = scipy.optimize.minimize(
-        f,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": simplex,
-            "xatol": tolerance,
-            "fatol": tolerance,
-            "maxfev": max_evals,
-            "adaptive": False,
-        },
-    )
-    x, fx = np.asarray(res.x, dtype=float), float(res.fun)
-    f0 = float(f(x0))
-    if f0 < fx:  # guard the contract fbest <= f(x0); NM keeps the incumbent anyway
-        x, fx = x0, f0
-    return MinimizeResult(x=x, fun=fx, nevals=int(res.nfev), converged=bool(res.success))
-
-
-def minimize_constrained(
-    f: Callable[[np.ndarray], float],
+    jac: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float],
     bounds: Sequence[tuple[float | None, float | None]],
-    ineq: Callable[[np.ndarray], np.ndarray],
+    ineq: Callable[[np.ndarray], np.ndarray] | None = None,
+    ineq_jac: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> MinimizeResult:
     """SLSQP descent from x0 subject to box ``bounds`` and ``ineq(x) >= 0``.
 
-    Gradients are forward differences. ``converged`` is the solver's
-    success flag. The end point may violate ``ineq`` by rounding, so a
+    ``jac`` is the gradient of ``f`` and ``ineq_jac`` the Jacobian of
+    ``ineq`` (one row per constraint); both are used as given, with no
+    finite differences. The run is a deterministic function of the
+    arguments. The end point may violate ``ineq`` by rounding, so a
     caller that needs exact feasibility restores it itself.
     """
+    cons = [] if ineq is None else [{"type": "ineq", "fun": ineq, "jac": ineq_jac}]
     res = scipy.optimize.minimize(
         f,
         np.asarray(x0, dtype=float),
+        jac=jac,
         method="SLSQP",
         bounds=bounds,
-        constraints=[{"type": "ineq", "fun": ineq}],
+        constraints=cons,
         options={"ftol": SLSQP_TOL, "maxiter": SLSQP_MAX_ITER},
     )
     return MinimizeResult(x=np.asarray(res.x, dtype=float), fun=float(res.fun),
-                          nevals=int(res.nfev), converged=bool(res.success))
+                          nevals=int(res.nfev) + int(res.njev),
+                          converged=bool(res.success))

@@ -7,6 +7,12 @@ with the extra zero constraint. Phases are fixed to phi = xi = 0: the
 score depends on the three phases only through their sum, so freeing
 them adds flat directions and nothing else.
 
+Each search runs one SLSQP descent per start (``mathcore.minimize``)
+with hand-written gradients of its closed forms. Every chart keeps its
+equality structure exact (normalization, and for Hardy the zero
+constraint), so only box bounds and, for the nonideal search, the two
+eps inequalities reach the solver.
+
 Every start draws its own generator from the master seed and a counter,
 and results merge by maximal score with lexicographic parameter
 tie-break, so a run is a deterministic function of its arguments.
@@ -21,7 +27,7 @@ from math import acos, atan2, cos, pi, sin, sqrt, tan
 
 import numpy as np
 
-from .mathcore import MIN_TOL, minimize, minimize_constrained
+from .mathcore import minimize
 from . import npa
 from .qubit import (ConstrainedStateParams, MeasurementParams, analytic_optimum,
                     closed_form_score)
@@ -35,7 +41,6 @@ DEFAULT_SEED = 0
 
 _EDGE = 1e-9          # open-interval guard for the polar angles
 _BOUND_SLACK = 1e-12  # rounding allowed when comparing bounds of a sweep row
-_PEN_BASE = 4.0       # exceeds every attainable |score|, keeps f finite
 
 
 @dataclass(frozen=True)
@@ -82,47 +87,84 @@ def _best(cands):
 
 # -- ideal problem ------------------------------------------------------
 
+def _family_terms(a: float, b: float):
+    """Angle factors of the constrained-family score, with their partials.
+
+    In the chart c = sin t / sqrt(W), W = 1 + tan^2(a/2) + tan^2(b/2),
+    the normalizability radicand is cos^2 t and the score (phases at
+    phi = xi = 0) is cos^2 t P + sin^2 t Q - sin 2t S cos delta with
+    P = cos^2(a/2) cos^2(b/2) - 1, Q = sin^2(a/2) sin^2(b/2) / W and
+    S = sin a sin b / (4 sqrt W). Returns (P, Q, S) and their partials
+    along a and along b, each as a (P, Q, S) triple.
+    """
+    ca, sa, cb, sb = cos(a / 2), sin(a / 2), cos(b / 2), sin(b / 2)
+    ta, tb = sa / ca, sb / cb
+    w = 1.0 + ta * ta + tb * tb
+    rw = sqrt(w)
+    w_a, w_b = ta / (ca * ca), tb / (cb * cb)
+    P = ca * ca * cb * cb - 1.0
+    Q = sa * sa * sb * sb / w
+    S = sin(a) * sin(b) / (4.0 * rw)
+    d_a = (-ca * sa * cb * cb,
+           sb * sb * sa * (ca - sa * w_a / w) / w,
+           (cos(a) * sin(b) - sin(a) * sin(b) * w_a / (2.0 * w)) / (4.0 * rw))
+    d_b = (-cb * sb * ca * ca,
+           sa * sa * sb * (cb - sb * w_b / w) / w,
+           (sin(a) * cos(b) - sin(a) * sin(b) * w_b / (2.0 * w)) / (4.0 * rw))
+    return (P, Q, S), d_a, d_b
+
+
 def _ideal_neg(x) -> float:
-    a, b, c, d = x
-    pen = 0.0
-    for v, lo, hi in ((a, _EDGE, pi - _EDGE), (b, _EDGE, pi - _EDGE), (c, 0.0, 1.0)):
-        pen += max(0.0, lo - v) + max(0.0, v - hi)
-    if pen > 0.0:
-        return _PEN_BASE + 100.0 * pen
-    rad = 1.0 - c * c * (1.0 + tan(a / 2) ** 2 + tan(b / 2) ** 2)
-    if rad < 0.0:
-        return _PEN_BASE - 100.0 * rad
-    p = ConstrainedStateParams(c=c, delta=d % TWO_PI,
-                               meas=MeasurementParams(alpha=a, beta=b))
-    return -closed_form_score(p)
+    a, b, t, d = x
+    (P, Q, S), _, _ = _family_terms(a, b)
+    return -(cos(t) ** 2 * P + sin(t) ** 2 * Q - sin(2 * t) * S * cos(d))
 
 
-def optimize_ideal(starts: int = DEFAULT_STARTS, seed: int = DEFAULT_SEED,
-                   tol: float = MIN_TOL) -> OptResult:
+def _ideal_neg_grad(x) -> np.ndarray:
+    a, b, t, d = x
+    (P, Q, S), d_a, d_b = _family_terms(a, b)
+    c2, s2, st, cd = cos(t) ** 2, sin(t) ** 2, sin(2 * t), cos(d)
+    return -np.array([c2 * d_a[0] + s2 * d_a[1] - st * cd * d_a[2],
+                      c2 * d_b[0] + s2 * d_b[1] - st * cd * d_b[2],
+                      st * (Q - P) - 2.0 * cos(2 * t) * S * cd,
+                      st * S * sin(d)])
+
+
+def _ceiling_w(a: float, b: float) -> float:
+    """1 + tan^2(a/2) + tan^2(b/2), the factor c^2 is bounded by."""
+    return 1.0 + tan(a / 2) ** 2 + tan(b / 2) ** 2
+
+
+def optimize_ideal(starts: int = DEFAULT_STARTS, seed: int = DEFAULT_SEED) -> OptResult:
     """Maximize the closed-form score over (alpha, beta, c, delta).
 
-    Draws each start from the normalizable region (c below its angle
-    dependent ceiling) and descends with the simplex minimizer; domain
-    exits are penalized. With a few dozen starts the best point matches
-    the analytic optimum to well below 1e-7.
+    Searches the chart (alpha, beta, t, delta) with
+    c = sin t / sqrt(1 + tan^2(alpha/2) + tan^2(beta/2)), in which every
+    point is normalizable, by one box-bounded SLSQP descent per start
+    with the analytic gradient. Each start draws alpha, beta and delta
+    uniformly and t = asin(u), so that c is the fraction u of its
+    ceiling. The reported score is ``closed_form_score`` at the reported
+    parameters. With a few dozen starts the best point matches the
+    analytic optimum to well below 1e-7.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
+    bounds = [(_EDGE, pi - _EDGE)] * 2 + [(0.0, pi / 2), (None, None)]
     cands = []
     for k in range(starts):
         rng = np.random.default_rng([seed, k])
         a = rng.uniform(0.2, pi - 0.2)
         b = rng.uniform(0.2, pi - 0.2)
-        cmax = 1.0 / sqrt(1.0 + tan(a / 2) ** 2 + tan(b / 2) ** 2)
-        c = rng.uniform(0.1, 0.95) * cmax
+        t = math.asin(rng.uniform(0.1, 0.95))
         d = rng.uniform(0.0, TWO_PI)
-        res = minimize(_ideal_neg, [a, b, c, d], tolerance=tol,
-                       max_evals=4000, simplex_scale=0.15)
-        cands.append((-res.fun, tuple(res.x), res.converged))
-    score, x, conv = _best(cands)
-    a, b, c, d = x
-    params = {"alpha": a, "beta": b, "c": c, "delta": d % TWO_PI,
-              "phi": 0.0, "xi": 0.0}
+        res = minimize(_ideal_neg, _ideal_neg_grad, [a, b, t, d], bounds)
+        a, b, t, d = res.x
+        c, d = sin(t) / sqrt(_ceiling_w(a, b)), d % TWO_PI
+        score = closed_form_score(ConstrainedStateParams(
+            c=c, delta=d, meas=MeasurementParams(alpha=a, beta=b)))
+        cands.append((score, (a, b, c, d), res.converged))
+    score, (a, b, c, d), conv = _best(cands)
+    params = {"alpha": a, "beta": b, "c": c, "delta": d, "phi": 0.0, "xi": 0.0}
     return OptResult(score=score, params=params, e10=0.0, e01=0.0,
                      starts_used=starts, converged=conv)
 
@@ -150,6 +192,42 @@ def _nonideal_neg(x) -> float:
     a, b, t1, t2 = x
     q, p, _, _ = ansatz_stats(a, b, *_chart(t1, t2))
     return q - p
+
+
+def _chart_jac(t1: float, t2: float) -> np.ndarray:
+    """Partials of the chart amplitudes (s00, s01, s11): rows t1, t2."""
+    return np.array([[-sin(t1), cos(t1) * cos(t2) / SQRT2, cos(t1) * sin(t2)],
+                     [0.0, -sin(t1) * sin(t2) / SQRT2, sin(t1) * cos(t2)]])
+
+
+def _nonideal_neg_grad(x) -> np.ndarray:
+    """Gradient of q - p from ``ansatz_stats``, p = lin^2 with lin linear
+    in the amplitudes."""
+    a, b, t1, t2 = x
+    s00, s01, s11 = _chart(t1, t2)
+    ca, sa = cos(a / 2), sin(a / 2)
+    cb, sb = cos(b / 2), sin(b / 2)
+    lin = ca * cb * s00 + (ca * sb + sa * cb) * s01 + sa * sb * s11
+    lin_a = (-sa * cb * s00 + (ca * cb - sa * sb) * s01 + ca * sb * s11) / 2
+    lin_b = (-ca * sb * s00 + (ca * cb - sa * sb) * s01 + sa * cb * s11) / 2
+    d_s = np.array([2 * s00 - 2 * lin * ca * cb,
+                    -2 * lin * (ca * sb + sa * cb),
+                    -2 * lin * sa * sb])
+    return np.concatenate([[-2 * lin * lin_a, -2 * lin * lin_b],
+                           _chart_jac(t1, t2) @ d_s])
+
+
+def _slack_jac(x) -> np.ndarray:
+    """Jacobian of (-e10, -e01) from ``ansatz_stats``; rows e10, e01."""
+    a, b, t1, t2 = x
+    s00, s01, s11 = _chart(t1, t2)
+    ca, sa = cos(a / 2), sin(a / 2)
+    cb, sb = cos(b / 2), sin(b / 2)
+    m10, m01 = ca * s01 + sa * s11, cb * s01 + sb * s11
+    jt = _chart_jac(t1, t2)
+    return -2 * np.array([
+        [m10 * (ca * s11 - sa * s01) / 2, 0.0, *(m10 * (jt @ (0.0, ca, sa)))],
+        [0.0, m01 * (cb * s11 - sb * s01) / 2, *(m01 * (jt @ (0.0, cb, sb)))]])
 
 
 def _polish(a: float, b: float, t1: float, t2: float,
@@ -209,14 +287,15 @@ def _analytic_seed() -> np.ndarray:
 
 
 def optimize_nonideal(eps: float, starts: int = DEFAULT_STARTS,
-                      seed: int = DEFAULT_SEED, tol: float = MIN_TOL) -> OptResult:
+                      seed: int = DEFAULT_SEED) -> OptResult:
     """Maximize the simulated score over the ansatz under eps constraints.
 
-    Each start runs one constrained SLSQP solve in the angle chart:
-    alpha and beta stay in the open interval (0, pi) and e10, e01 <= eps
-    through their closed forms. SLSQP can end outside the constraints by
-    rounding, so every end point goes through the exact feasibility
-    polish; the returned point satisfies both constraints strictly.
+    Each start runs one constrained SLSQP solve in the angle chart, with
+    the analytic gradient and constraint Jacobian: alpha and beta stay in
+    the open interval (0, pi) and e10, e01 <= eps through their closed
+    forms. SLSQP can end outside the constraints by rounding, so every
+    end point goes through the exact feasibility polish; the returned
+    point satisfies both constraints strictly.
     Besides the seeded random starts, the analytic eps = 0 optimum,
     feasible at every eps, is one more start and, unoptimized, one more
     candidate, so the result never falls below the ideal optimum as
@@ -229,7 +308,7 @@ def optimize_nonideal(eps: float, starts: int = DEFAULT_STARTS,
     if starts < 1:
         raise ValueError("starts must be >= 1")
     if eps == 0.0:
-        return _ideal_to_ansatz(optimize_ideal(starts=starts, seed=seed, tol=tol))
+        return _ideal_to_ansatz(optimize_ideal(starts=starts, seed=seed))
 
     def candidate(x, conv):
         a, b, t1, t2 = x
@@ -251,7 +330,8 @@ def optimize_nonideal(eps: float, starts: int = DEFAULT_STARTS,
     x0s.append(_analytic_seed())
     cands = []
     for x0 in x0s:
-        res = minimize_constrained(_nonideal_neg, x0, bounds, slack)
+        res = minimize(_nonideal_neg, _nonideal_neg_grad, x0, bounds,
+                       slack, _slack_jac)
         cands.append(candidate(res.x, res.converged))
     # the seed itself, in case its solve ended lower; ``res`` is the seed's run
     cands.append(candidate(x0s[-1], res.converged))
@@ -266,36 +346,40 @@ def optimize_nonideal(eps: float, starts: int = DEFAULT_STARTS,
 # -- Hardy special case -------------------------------------------------
 
 def _hardy_neg(x) -> float:
-    a, b = x
-    pen = (max(0.0, _EDGE - a) + max(0.0, a - (pi - _EDGE))
-           + max(0.0, _EDGE - b) + max(0.0, b - (pi - _EDGE)))
-    if pen > 0.0:
-        return _PEN_BASE + 100.0 * pen
-    t = 1.0 + tan(a / 2) ** 2 + tan(b / 2) ** 2
-    return -(sin(a / 2) * sin(b / 2)) ** 2 / t
+    (_, Q, _), _, _ = _family_terms(x[0], x[1])
+    return -Q
 
 
-def optimize_hardy(starts: int = DEFAULT_STARTS, seed: int = DEFAULT_SEED,
-                   tol: float = MIN_TOL) -> OptResult:
+def _hardy_neg_grad(x) -> np.ndarray:
+    _, d_a, d_b = _family_terms(x[0], x[1])
+    return -np.array([d_a[1], d_b[1]])
+
+
+def optimize_hardy(starts: int = DEFAULT_STARTS, seed: int = DEFAULT_SEED) -> OptResult:
     """Maximize p with the additional constraint q = 0.
 
     Within the constrained family the zero constraint pins the |00>
-    amplitude: c equals the normalizability ceiling, leaving a search
-    over the two angles with p = sin^2(alpha/2) sin^2(beta/2) c^2. The
-    constraint therefore holds exactly at every iterate rather than
-    through a penalty.
+    amplitude: c equals the normalizability ceiling, leaving a
+    box-bounded search over the two angles with
+    p = sin^2(alpha/2) sin^2(beta/2) / (1 + tan^2(alpha/2) + tan^2(beta/2)),
+    one SLSQP descent per start with the analytic gradient. The
+    reported c is rounded up to where the normalizability radicand is
+    not positive, so the |00> amplitude of the state is exactly zero.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
+    bounds = [(_EDGE, pi - _EDGE)] * 2
     cands = []
     for k in range(starts):
         rng = np.random.default_rng([seed, k])
         x0 = [rng.uniform(0.2, pi - 0.2), rng.uniform(0.2, pi - 0.2)]
-        res = minimize(_hardy_neg, x0, tolerance=tol, max_evals=3000,
-                       simplex_scale=0.15)
+        res = minimize(_hardy_neg, _hardy_neg_grad, x0, bounds)
         cands.append((-res.fun, tuple(res.x), res.converged))
     score, (a, b), conv = _best(cands)
-    c = 1.0 / sqrt(1.0 + tan(a / 2) ** 2 + tan(b / 2) ** 2)
+    w = _ceiling_w(a, b)
+    c = 1.0 / sqrt(w)
+    while 1.0 - c ** 2 * w > 0.0:
+        c = math.nextafter(c, 2.0)
     params = {"alpha": a, "beta": b, "c": c, "delta": 0.0, "phi": 0.0, "xi": 0.0}
     return OptResult(score=score, params=params, e10=0.0, e01=0.0,
                      starts_used=starts, converged=conv)

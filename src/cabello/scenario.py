@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mathcore import LPProblem, LP_TOL, dagger, solve_lp
+from .mathcore import LPProblem, LP_TOL, solve_lp
 
 PLUS, MINUS = 0, 1
 
@@ -93,21 +93,35 @@ class Certificate:
     constraints_violated: bool
 
 
-def _check_measurement(ops: Sequence[np.ndarray], dim: int, who: str) -> None:
-    if len(ops) != 2:
-        raise InvalidMeasurementError(f"{who}: need exactly two projectors per setting")
-    total = np.zeros((dim, dim), dtype=complex)
-    for pi in ops:
-        pi = np.asarray(pi, dtype=complex)
-        if pi.shape != (dim, dim):
-            raise InvalidMeasurementError(f"{who}: projector shape {pi.shape} != {(dim, dim)}")
-        if np.linalg.norm(pi - dagger(pi)) > _QUANTUM_TOL:
-            raise InvalidMeasurementError(f"{who}: projector not Hermitian")
-        if np.linalg.norm(pi @ pi - pi) > _QUANTUM_TOL:
-            raise InvalidMeasurementError(f"{who}: projector not idempotent")
-        total = total + pi
-    if np.linalg.norm(total - np.eye(dim)) > _QUANTUM_TOL:
-        raise InvalidMeasurementError(f"{who}: projectors do not sum to identity")
+def _stack_measurements(proj: Sequence[Sequence[np.ndarray]], dim: int,
+                        who: str) -> np.ndarray:
+    """Projectors as one (setting, outcome, dim, dim) array, checked.
+
+    Each projector's shape is checked before stacking; then hermiticity,
+    idempotence and completeness on the stack, in that order.
+    """
+    proj = [proj[0], proj[1]]
+    for x, ops in enumerate(proj):
+        if len(ops) != 2:
+            raise InvalidMeasurementError(
+                f"{who} setting {x}: need exactly two projectors per setting")
+        for pi in ops:
+            if np.shape(pi) != (dim, dim):
+                raise InvalidMeasurementError(
+                    f"{who} setting {x}: projector shape {np.shape(pi)} != {(dim, dim)}")
+    P = np.array(proj, dtype=complex)
+    errs = (
+        (np.linalg.norm(P - np.conj(P).swapaxes(-1, -2), axis=(-2, -1)),
+         "projector not Hermitian"),
+        (np.linalg.norm(P @ P - P, axis=(-2, -1)), "projector not idempotent"),
+        (np.linalg.norm(P.sum(axis=1) - np.eye(dim), axis=(-2, -1)),
+         "projectors do not sum to identity"),
+    )
+    for err, what in errs:
+        bad = err > _QUANTUM_TOL
+        if bad.any():
+            raise InvalidMeasurementError(f"{who} setting {np.nonzero(bad)[0][0]}: {what}")
+    return P
 
 
 def behavior_from_quantum(
@@ -119,7 +133,9 @@ def behavior_from_quantum(
 
     ``projA[x]`` and ``projB[y]`` are the two projectors (order +, -) of
     the binary measurement for setting x resp. y. Dimensions are read
-    off the projectors; the state must live on the tensor product.
+    off the projectors; the state must live on the tensor product. The
+    sixteen probabilities come from one contraction of the state, read
+    as a dA x dB matrix, with the stacked projectors.
     """
     state = np.asarray(state, dtype=complex).reshape(-1)
     dA = np.asarray(projA[0][0]).shape[0]
@@ -128,14 +144,10 @@ def behavior_from_quantum(
         raise InvalidStateError(f"state has dimension {state.size}, expected {dA * dB}")
     if abs(np.linalg.norm(state) - 1.0) > _QUANTUM_TOL:
         raise InvalidStateError(f"state norm {np.linalg.norm(state):.12f} != 1")
-    for x in range(2):
-        _check_measurement(projA[x], dA, f"Alice setting {x}")
-        _check_measurement(projB[x], dB, f"Bob setting {x}")
-    p = np.empty((2, 2, 2, 2), dtype=float)
-    for x, y, a, b in product(range(2), repeat=4):
-        op = np.kron(np.asarray(projA[x][a], dtype=complex),
-                     np.asarray(projB[y][b], dtype=complex))
-        p[x, y, a, b] = np.real(np.vdot(state, op @ state))
+    PA = _stack_measurements(projA, dA, "Alice")
+    PB = _stack_measurements(projB, dB, "Bob")
+    psi = state.reshape(dA, dB)
+    p = np.einsum("ij,xaik,ybjl,kl->xyab", np.conj(psi), PA, PB, psi).real
     return Behavior(p=np.clip(p, 0.0, 1.0))
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cabello import npa
+from cabello import optimize
 from cabello.npa import npa_upper_bound
 from cabello.optimize import (
     OptResult,
@@ -145,6 +146,49 @@ def test_nonideal_never_below_ideal_as_eps_vanishes(eps):
     assert abs(stats.score - r.score) < 1e-12
 
 
+def test_nonideal_gains_over_ideal_as_eps_vanishes():
+    # the optimum grows like sqrt(eps) above the eps = 0 optimum, so the
+    # search must leave the eps = 0 seed even at eps = 1e-12
+    for eps, gain in ((1e-9, 1e-5), (1e-12, 3e-7)):
+        r = optimize_nonideal(eps)
+        assert r.score >= oracles.OPT_SCORE + gain
+        assert r.converged
+        assert r.e10 <= eps and r.e01 <= eps
+        # the Born rule sums O(1) terms, so it resolves e10 and e01 to
+        # about 1e-16 absolute; the closed forms above hold them <= eps
+        stats = _stats_from_ansatz(r.params)
+        assert stats.e10 <= eps + 1e-15 and stats.e01 <= eps + 1e-15
+        assert abs(stats.score - r.score) < 1e-12
+
+
+def _central_jac(f, x, h=1e-6):
+    cols = []
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h
+        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h))
+    return np.array(cols).T
+
+
+def test_analytic_gradients_match_central_differences():
+    rng = np.random.default_rng(21)
+    neg_stats = lambda x: -np.array(ansatz_stats(x[0], x[1],
+                                                 *optimize._chart(x[2], x[3]))[2:])
+    pairs = ((optimize._ideal_neg, optimize._ideal_neg_grad, "ideal"),
+             (optimize._nonideal_neg, optimize._nonideal_neg_grad, "nonideal"),
+             (neg_stats, optimize._slack_jac, "nonideal"),
+             (optimize._hardy_neg, optimize._hardy_neg_grad, "hardy"))
+    for _ in range(50):
+        a, b = rng.uniform(0.2, np.pi - 0.2, size=2)
+        t = rng.uniform(0.1, np.pi / 2 - 0.1)
+        d = rng.uniform(0.0, 2 * np.pi)
+        x = {"ideal": np.array([a, b, t, d]), "nonideal": np.array([a, b, t, d]),
+             "hardy": np.array([a, b])}
+        for f, jac, chart in pairs:
+            err = np.abs(_central_jac(f, x[chart]) - jac(x[chart])).max()
+            assert err <= 1e-7, (f.__name__, x[chart], err)
+
+
 def test_nonideal_monotone_in_eps():
     lo = optimize_nonideal(0.3, starts=16)
     hi = optimize_nonideal(0.5, starts=16)
@@ -255,6 +299,16 @@ def test_hardy_constraints_hold_exactly():
     assert stats.q < 1e-10
     assert stats.e10 < 1e-12 and stats.e01 < 1e-12
     assert abs(stats.p - r.score) < 1e-9
+
+
+def test_hardy_state_has_exactly_zero_00_amplitude():
+    # c is rounded up to the normalizability ceiling, so the |00> amplitude
+    # is 0 and the Born rule reproduces the reported score
+    for seed in range(30):
+        r = optimize_hardy(starts=8, seed=seed)
+        stats = _stats_from_constrained(r.params)
+        assert stats.q <= 1e-12
+        assert abs(stats.p - r.score) <= 1e-12
 
 
 def test_hardy_strictly_below_cabello_optimum():

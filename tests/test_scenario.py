@@ -133,6 +133,41 @@ def test_rejects_incomplete_measurement():
         behavior_from_quantum(state, (bad, COMP), (COMP, COMP))
 
 
+def _kron_reference(state, projA, projB):
+    """p(a,b|x,y) one Kronecker product at a time."""
+    p = np.empty((2, 2, 2, 2))
+    for x, y, a, b in np.ndindex(2, 2, 2, 2):
+        op = np.kron(projA[x][a], projB[y][b])
+        p[x, y, a, b] = np.real(np.vdot(state, op @ state))
+    return p
+
+
+def _random_pair(rng, d):
+    """Projector onto a random half of C^d and its complement."""
+    u = random_local_unitary(rng, d)
+    half = u[:, : d // 2] @ dagger(u[:, : d // 2])
+    return half, np.eye(d) - half
+
+
+def test_behavior_matches_kron_reference():
+    rng = np.random.default_rng(8)
+    for d in (2, 4):
+        for _ in range(20):
+            projA = [_random_pair(rng, d) for _ in range(2)]
+            projB = [_random_pair(rng, d) for _ in range(2)]
+            state = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+            state /= np.linalg.norm(state)
+            got = behavior_from_quantum(state, projA, projB).p
+            assert np.abs(got - _kron_reference(state, projA, projB)).max() <= 1e-14
+
+
+def test_rejects_misshapen_projector():
+    state = np.zeros(4, dtype=complex)
+    state[0] = 1.0
+    with pytest.raises(InvalidMeasurementError):
+        behavior_from_quantum(state, (COMP, (COMP[0], np.eye(3))), (COMP, COMP))
+
+
 def test_uniform_behavior_stats():
     stats = cabello_stats(Behavior(p=np.full((2, 2, 2, 2), 0.25)))
     assert stats.q == 0.25 and stats.p == 0.25
