@@ -140,8 +140,25 @@ class QubitPovmEffect:
     axis: tuple[float, float, float]
 
 
-def _proj(v: np.ndarray) -> np.ndarray:
-    return np.outer(v, np.conj(v))
+_Z_PAIR = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+
+
+def measurements(angle, phase) -> np.ndarray:
+    """One party's two binary measurements, shape (..., 2, 2, 2, 2).
+
+    Indexed [setting, outcome, i, j], the layout behavior_from_quantum
+    expects, and broadcast over arrays of angles and phases. Setting 0
+    is the computational basis; setting 1 projects onto
+    cos(angle/2)|0> + e^{i phase} sin(angle/2)|1> and its
+    orthocomplement.
+    """
+    angle = np.asarray(angle, dtype=float)
+    ph = np.exp(1j * np.asarray(phase, dtype=float))
+    cos_h, sin_h = np.cos(angle / 2), np.sin(angle / 2)
+    kets = np.stack([np.stack([cos_h, ph * sin_h], axis=-1),
+                     np.stack([-sin_h, ph * cos_h], axis=-1)], axis=-2)
+    tilted = kets[..., :, None] * np.conj(kets[..., None, :])
+    return np.stack([np.broadcast_to(_Z_PAIR, tilted.shape), tilted], axis=-4)
 
 
 def projectors(m: MeasurementParams):
@@ -150,19 +167,9 @@ def projectors(m: MeasurementParams):
     The first settings are the computational basis. The second settings
     project onto cos(angle/2)|0> + e^{i phase} sin(angle/2)|1> and its
     orthocomplement, with (angle, phase) = (alpha, phi) for Alice and
-    (beta, xi) for Bob.
+    (beta, xi) for Bob; see ``measurements``.
     """
-    ket0 = np.array([1.0, 0.0], dtype=complex)
-    ket1 = np.array([0.0, 1.0], dtype=complex)
-    z_pair = (_proj(ket0), _proj(ket1))
-
-    def tilted(angle: float, phase: float):
-        ph = np.exp(1j * phase)
-        plus = np.array([cos(angle / 2), ph * sin(angle / 2)], dtype=complex)
-        minus = np.array([-sin(angle / 2), ph * cos(angle / 2)], dtype=complex)
-        return _proj(plus), _proj(minus)
-
-    return z_pair, tilted(m.alpha, m.phi), z_pair, tilted(m.beta, m.xi)
+    return (*measurements(m.alpha, m.phi), *measurements(m.beta, m.xi))
 
 
 def _radicand(p: ConstrainedStateParams) -> float:

@@ -35,18 +35,24 @@ class InvalidMeasurementError(ValueError):
 
 @dataclass(frozen=True)
 class Behavior:
-    """Joint conditional probabilities p[x][y][a][b], a 2x2x2x2 array."""
+    """Joint conditional probabilities p[x][y][a][b], a 2x2x2x2 array.
+
+    A batch of behaviors carries a leading sample axis, p of shape
+    (n, 2, 2, 2, 2); range and normalization are checked for every
+    sample.
+    """
 
     p: np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
-        if p.shape != (2, 2, 2, 2):
-            raise ValueError(f"behavior must be 2x2x2x2, got {p.shape}")
-        if p.min() < -_BEHAVIOR_TOL or p.max() > 1 + _BEHAVIOR_TOL:
+        if p.ndim not in (4, 5) or p.shape[-4:] != (2, 2, 2, 2):
+            raise ValueError(f"behavior must be 2x2x2x2 or n x 2x2x2x2, got {p.shape}")
+        # written so that a NaN entry fails every test
+        if not (p.min() >= -_BEHAVIOR_TOL and p.max() <= 1 + _BEHAVIOR_TOL):
             raise ValueError("behavior entries outside [0, 1]")
-        totals = p.sum(axis=(2, 3))
-        if np.abs(totals - 1.0).max() > _BEHAVIOR_TOL:
+        totals = p.sum(axis=(-2, -1))
+        if not np.abs(totals - 1.0).max() <= _BEHAVIOR_TOL:
             raise ValueError("behavior not normalized per setting pair")
         object.__setattr__(self, "p", p)
 
@@ -60,13 +66,16 @@ class Behavior:
 
 @dataclass(frozen=True)
 class CabelloStats:
-    """The four probabilities entering the argument plus the score p - q."""
+    """The four probabilities entering the argument plus the score p - q.
 
-    q: float
-    p: float
-    e10: float
-    e01: float
-    score: float
+    Floats for one behavior; arrays over the sample axis for a batch.
+    """
+
+    q: float | np.ndarray
+    p: float | np.ndarray
+    e10: float | np.ndarray
+    e01: float | np.ndarray
+    score: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,41 +102,54 @@ class Certificate:
     constraints_violated: bool
 
 
-def _stack_measurements(proj: Sequence[Sequence[np.ndarray]], dim: int,
-                        who: str) -> np.ndarray:
-    """Projectors as one (setting, outcome, dim, dim) array, checked.
+def _stack_measurements(proj, n: int, dim: int, who: str, batched: bool) -> np.ndarray:
+    """Projectors as one (sample, setting, outcome, dim, dim) array, checked.
 
-    Each projector's shape is checked before stacking; then hermiticity,
-    idempotence and completeness on the stack, in that order.
+    Shapes come first: each projector's for a single call, the whole
+    stack's for a batch. Then hermiticity, idempotence and completeness
+    over the stack, in that order; an error names the first failing
+    sample of a batch.
     """
-    proj = [proj[0], proj[1]]
-    for x, ops in enumerate(proj):
-        if len(ops) != 2:
+    if batched:
+        P = np.asarray(proj, dtype=complex)
+        if P.shape != (n, 2, 2, dim, dim):
             raise InvalidMeasurementError(
-                f"{who} setting {x}: need exactly two projectors per setting")
-        for pi in ops:
-            if np.shape(pi) != (dim, dim):
+                f"{who}: projector stack shape {P.shape} != {(n, 2, 2, dim, dim)}")
+    else:
+        proj = [proj[0], proj[1]]
+        for x, ops in enumerate(proj):
+            if len(ops) != 2:
                 raise InvalidMeasurementError(
-                    f"{who} setting {x}: projector shape {np.shape(pi)} != {(dim, dim)}")
-    P = np.array(proj, dtype=complex)
+                    f"{who} setting {x}: need exactly two projectors per setting")
+            for pi in ops:
+                if np.shape(pi) != (dim, dim):
+                    raise InvalidMeasurementError(
+                        f"{who} setting {x}: projector shape {np.shape(pi)} != {(dim, dim)}")
+        P = np.array([proj], dtype=complex)
     errs = (
         (np.linalg.norm(P - np.conj(P).swapaxes(-1, -2), axis=(-2, -1)),
          "projector not Hermitian"),
         (np.linalg.norm(P @ P - P, axis=(-2, -1)), "projector not idempotent"),
-        (np.linalg.norm(P.sum(axis=1) - np.eye(dim), axis=(-2, -1)),
+        (np.linalg.norm(P.sum(axis=2) - np.eye(dim), axis=(-2, -1)),
          "projectors do not sum to identity"),
     )
     for err, what in errs:
-        bad = err > _QUANTUM_TOL
+        bad = ~(err <= _QUANTUM_TOL)  # NaN counts as a failure
         if bad.any():
-            raise InvalidMeasurementError(f"{who} setting {np.nonzero(bad)[0][0]}: {what}")
+            k, x = np.argwhere(bad)[0][:2]
+            raise InvalidMeasurementError(f"{_sample(k, batched)}{who} setting {x}: {what}")
     return P
+
+
+def _sample(k: int, batched: bool) -> str:
+    """Error-message prefix naming sample k of a batch."""
+    return f"sample {k}: " if batched else ""
 
 
 def behavior_from_quantum(
     state: np.ndarray,
-    projA: Sequence[Sequence[np.ndarray]],
-    projB: Sequence[Sequence[np.ndarray]],
+    projA: Sequence[Sequence[np.ndarray]] | np.ndarray,
+    projB: Sequence[Sequence[np.ndarray]] | np.ndarray,
 ) -> Behavior:
     """Born-rule behavior p(a,b|x,y) = <psi| Pi_{a|x} (x) Pi_{b|y} |psi>.
 
@@ -136,27 +158,46 @@ def behavior_from_quantum(
     off the projectors; the state must live on the tensor product. The
     sixteen probabilities come from one contraction of the state, read
     as a dA x dB matrix, with the stacked projectors.
+
+    Batch axis: a state of shape (n, dA*dB) with projector stacks of
+    shape (n, 2, 2, dA, dA) and (n, 2, 2, dB, dB) gives n behaviors in
+    one call, a Behavior whose p has shape (n, 2, 2, 2, 2); sample k is
+    the Born rule of state[k] with projA[k] and projB[k]. Every check
+    runs over the whole batch, in the order of a single call, and its
+    error names the first failing sample. A single call is the batch of
+    one.
     """
-    state = np.asarray(state, dtype=complex).reshape(-1)
-    dA = np.asarray(projA[0][0]).shape[0]
-    dB = np.asarray(projB[0][0]).shape[0]
-    if state.size != dA * dB:
-        raise InvalidStateError(f"state has dimension {state.size}, expected {dA * dB}")
-    if abs(np.linalg.norm(state) - 1.0) > _QUANTUM_TOL:
-        raise InvalidStateError(f"state norm {np.linalg.norm(state):.12f} != 1")
-    PA = _stack_measurements(projA, dA, "Alice")
-    PB = _stack_measurements(projB, dB, "Bob")
-    psi = state.reshape(dA, dB)
-    p = np.einsum("ij,xaik,ybjl,kl->xyab", np.conj(psi), PA, PB, psi).real
-    return Behavior(p=np.clip(p, 0.0, 1.0))
+    state = np.asarray(state, dtype=complex)
+    batched = state.ndim == 2
+    if not batched:
+        state = state.reshape(1, -1)
+    n = state.shape[0]
+    # rows of the first projector pair (of sample 0, for a batch)
+    dA, dB = np.shape(projA[0][0])[-2], np.shape(projB[0][0])[-2]
+    if state.shape[1] != dA * dB:
+        raise InvalidStateError(f"state has dimension {state.shape[1]}, expected {dA * dB}")
+    norms = np.linalg.norm(state, axis=1)
+    bad = ~(np.abs(norms - 1.0) <= _QUANTUM_TOL)  # NaN counts as a failure
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InvalidStateError(f"{_sample(k, batched)}state norm {norms[k]:.12f} != 1")
+    PA = _stack_measurements(projA, n, dA, "Alice", batched)
+    PB = _stack_measurements(projB, n, dB, "Bob", batched)
+    psi = state.reshape(n, dA, dB)
+    p = np.clip(np.einsum("nij,nxaik,nybjl,nkl->nxyab", np.conj(psi), PA, PB, psi).real,
+                0.0, 1.0)
+    return Behavior(p=p if batched else p[0])
 
 
 def cabello_stats(b: Behavior) -> CabelloStats:
-    """Extract q, p, the two constraint probabilities, and the score."""
-    q = float(b.p[0, 0, PLUS, PLUS])
-    p = float(b.p[1, 1, PLUS, PLUS])
-    e10 = float(b.p[1, 0, PLUS, MINUS])
-    e01 = float(b.p[0, 1, MINUS, PLUS])
+    """Extract q, p, the two constraint probabilities, and the score.
+
+    For a batched behavior each is an array over the sample axis.
+    """
+    q, p, e10, e01 = (b.p[..., 0, 0, PLUS, PLUS], b.p[..., 1, 1, PLUS, PLUS],
+                      b.p[..., 1, 0, PLUS, MINUS], b.p[..., 0, 1, MINUS, PLUS])
+    if b.p.ndim == 4:
+        q, p, e10, e01 = float(q), float(p), float(e10), float(e01)
     return CabelloStats(q=q, p=p, e10=e10, e01=e01, score=p - q)
 
 

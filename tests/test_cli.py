@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from cabello import cli, qubit
 from cabello.cli import (
     CSV_HEADER,
     build_parser,
@@ -16,6 +17,7 @@ from cabello.cli import (
     sweep_to_csv,
 )
 from cabello.optimize import SweepRecord, sweep_epsilon
+from cabello.scenario import behavior_from_quantum, cabello_stats
 
 import oracles
 
@@ -87,7 +89,36 @@ def test_optimize_nonideal_verb(capsys):
     assert doc["e10"] <= 0.05 + 1e-9
 
 
-def test_verify_formula_verb(capsys):
+def _verify_formula_loop(samples, seed):
+    """verify-formula one sample at a time: its draws and worst values."""
+    rng = np.random.default_rng(seed)
+    draws, worst_dev, worst_leak = [], 0.0, 0.0
+    for _ in range(samples):
+        a, b = rng.uniform(0.05, np.pi - 0.05, size=2)
+        cmax = 1.0 / np.sqrt(1 + np.tan(a / 2) ** 2 + np.tan(b / 2) ** 2)
+        c = rng.uniform(0.0, 0.999) * cmax
+        d, ph, xi = rng.uniform(0.0, 2 * np.pi, size=3)
+        m = qubit.MeasurementParams(alpha=a, beta=b, phi=ph, xi=xi)
+        p = qubit.ConstrainedStateParams(c=c, delta=d, meas=m)
+        a0, a1, b0, b1 = qubit.projectors(m)
+        st = cabello_stats(behavior_from_quantum(qubit.constrained_state(p),
+                                                 (a0, a1), (b0, b1)))
+        draws.append((a, b, c, d, ph, xi))
+        worst_dev = max(worst_dev, abs(st.score - qubit.closed_form_score(p)))
+        worst_leak = max(worst_leak, st.e10, st.e01)
+    return draws, worst_dev, worst_leak
+
+
+def test_verify_formula_verb(monkeypatch, capsys):
+    seen = []
+    closed_form_score = qubit.closed_form_score
+
+    def recorded(p):
+        m = p.meas
+        seen.append((m.alpha, m.beta, p.c, p.delta, m.phi, m.xi))
+        return closed_form_score(p)
+
+    monkeypatch.setattr(qubit, "closed_form_score", recorded)
     code, out, err = run_cli(["verify-formula", "--samples", "1000",
                               "--seed", "7"], capsys)
     assert code == 0
@@ -95,6 +126,41 @@ def test_verify_formula_verb(capsys):
     assert doc["samples"] == 1000
     assert doc["max_score_deviation"] < 1e-10
     assert doc["max_constraint_probability"] < 1e-12
+    monkeypatch.undo()
+    draws, dev, leak = _verify_formula_loop(1000, 7)
+    assert seen == draws
+    assert abs(doc["max_score_deviation"] - dev) <= 1e-15
+    assert abs(doc["max_constraint_probability"] - leak) <= 1e-15
+
+
+def test_verify_formula_checks_the_transcription(monkeypatch, capsys):
+    closed_form_score = qubit.closed_form_score
+    monkeypatch.setattr(qubit, "closed_form_score", lambda p: closed_form_score(p) + 1e-9)
+    code, out, err = run_cli(["verify-formula", "--samples", "300"], capsys)
+    assert code == 1
+    assert json.loads(out)["max_score_deviation"] >= 1e-10
+    assert "equivalence check failed" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_formula_rejects_nonpositive_samples(samples, capsys):
+    code, out, err = run_cli(["verify-formula", "--samples", samples], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("verify-formula: --samples must be >= 1")
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for eps in ("0.1", "0.2", "0.3"):
+            assert run_cli(["local-bound", "--eps", eps], capsys)[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
 
 
 def test_npa_verb(capsys):

@@ -99,6 +99,10 @@ def test_behavior_rejects_bad_normalization():
     p = np.full((2, 2, 2, 2), 0.3)
     with pytest.raises(ValueError):
         Behavior(p=p)
+    batch = np.full((3, 2, 2, 2, 2), 0.25)
+    batch[1] = p
+    with pytest.raises(ValueError):
+        Behavior(p=batch)
 
 
 def test_behavior_json_round_trip():
@@ -149,16 +153,61 @@ def _random_pair(rng, d):
     return half, np.eye(d) - half
 
 
+def _random_draw(rng, d):
+    """A random normalized state on C^d (x) C^d and two random binary
+    measurements per party."""
+    projA = [_random_pair(rng, d) for _ in range(2)]
+    projB = [_random_pair(rng, d) for _ in range(2)]
+    state = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+    state /= np.linalg.norm(state)
+    return state, projA, projB
+
+
+def _stack(draws):
+    """Draws as one batch: states (n, d*d) and projector stacks (n, 2, 2, d, d)."""
+    return tuple(np.array(z) for z in zip(*draws))
+
+
 def test_behavior_matches_kron_reference():
     rng = np.random.default_rng(8)
     for d in (2, 4):
-        for _ in range(20):
-            projA = [_random_pair(rng, d) for _ in range(2)]
-            projB = [_random_pair(rng, d) for _ in range(2)]
-            state = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
-            state /= np.linalg.norm(state)
+        draws = [_random_draw(rng, d) for _ in range(20)]
+        for state, projA, projB in draws:
             got = behavior_from_quantum(state, projA, projB).p
             assert np.abs(got - _kron_reference(state, projA, projB)).max() <= 1e-14
+        batch = behavior_from_quantum(*_stack(draws))
+        assert batch.p.shape == (20, 2, 2, 2, 2)
+        stats = cabello_stats(batch)
+        for k, (state, projA, projB) in enumerate(draws):
+            assert np.abs(batch.p[k] - _kron_reference(state, projA, projB)).max() <= 1e-14
+            assert stats.score[k] == cabello_stats(Behavior(p=batch.p[k])).score
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_batch_error_names_first_failing_sample(k):
+    rng = np.random.default_rng(9)
+    states, stackA, stackB = _stack([_random_draw(rng, 2) for _ in range(5)])
+    # samples k and 4 are broken; the error must name k, the first
+    for bad in (k, 4):
+        stackA[bad, 1, 0] *= 1.2  # Hermitian, but no longer idempotent
+    with pytest.raises(InvalidMeasurementError,
+                       match=f"^sample {k}: Alice setting 1: projector not idempotent"):
+        behavior_from_quantum(states, stackA, stackB)
+    states[[k, 4]] *= 1.1
+    with pytest.raises(InvalidStateError, match=f"^sample {k}: state norm"):
+        behavior_from_quantum(states, stackA, stackB)
+
+
+def test_rejects_nan_state_projector_and_behavior():
+    state = np.zeros(4, dtype=complex)
+    state[0] = 1.0
+    with pytest.raises(InvalidStateError):
+        behavior_from_quantum(np.full(4, np.nan), (COMP, COMP), (COMP, COMP))
+    bad = (np.full((2, 2), np.nan, dtype=complex), np.eye(2, dtype=complex))
+    with pytest.raises(InvalidMeasurementError):
+        behavior_from_quantum(state, (COMP, bad), (COMP, COMP))
+    with pytest.raises(ValueError):
+        Behavior(p=np.full((2, 2, 2, 2), np.nan))
 
 
 def test_rejects_misshapen_projector():
