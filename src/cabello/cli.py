@@ -78,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("npa", help="moment-matrix upper bound")
     p.add_argument("--level", choices=list(npa.LEVELS), default="2")
     p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=npa.DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=npa.DEFAULT_MAX_ITER)
     add_out(p)
 
     p = sub.add_parser("sweep", help="local/lower/upper bounds over an eps grid (CSV)")
@@ -183,8 +181,7 @@ def _run_local_bound(o, out) -> int:
 
 
 def _run_npa(o, out) -> int:
-    sol = npa.solve(npa.build_problem(o["level"], o["eps"]),
-                    tol=o["tol"], max_iter=o["max_iter"])
+    sol = npa.solve(npa.build_problem(o["level"], o["eps"]))
     print(f"level={o['level']} eps={_fmt(o['eps'])} status={sol.status} "
           f"iterations={sol.iterations} primal={sol.primal_residual:.3e} "
           f"dual={sol.dual_residual:.3e} gap={sol.gap:.3e}", file=sys.stderr)
@@ -221,8 +218,7 @@ def read_sweep_csv(text: str):
 def _run_sweep(o, out) -> int:
     steps = o["steps"]
     if steps < 1:
-        print("sweep: --steps must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--steps must be >= 1")
     lo, hi = o["eps_min"], o["eps_max"]
     grid = np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
     records = optimize.sweep_epsilon(grid, level=o["level"], starts=o["starts"],
@@ -266,7 +262,7 @@ def execute(cmd: Command) -> int:
     """Dispatch a parsed command; returns the process exit code."""
     try:
         return _DISPATCH[cmd.verb](cmd.options, cmd.out)
-    except (ValueError, selftest.BadWeightsError) as exc:
+    except ValueError as exc:
         print(f"{cmd.verb}: {exc}", file=sys.stderr)
         return 2
 

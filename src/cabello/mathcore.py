@@ -1,14 +1,13 @@
-"""Dense complex linear algebra plus the numerical kernels used
-throughout: Hermitian eigendecomposition, a small dense LP solver, and a
-gradient-based local minimizer (SLSQP) under box bounds and inequality
-constraints.
+"""The numerical kernels used throughout: the conjugate transpose, a
+small dense LP solver, and a gradient-based local minimizer (SLSQP)
+under box bounds and inequality constraints.
 
-Matrices are plain complex numpy arrays. Everything here is a pure
-function of its arguments.
+Matrices are plain numpy arrays. Everything here is a pure function of
+its arguments.
 
 Default tolerances are set once here and inherited by the callers:
-``EIG_TOL`` for eigensolves, ``LP_TOL`` for linear programs,
-``SLSQP_TOL`` and ``SLSQP_MAX_ITER`` for the minimizer.
+``LP_TOL`` for linear programs, ``SLSQP_TOL`` and ``SLSQP_MAX_ITER``
+for the minimizer.
 """
 
 from __future__ import annotations
@@ -19,18 +18,9 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.optimize
 
-EIG_TOL = 1e-12
 LP_TOL = 1e-9
 SLSQP_TOL = 1e-12
 SLSQP_MAX_ITER = 200
-
-
-class NotHermitianError(ValueError):
-    """Input matrix is not Hermitian within the requested tolerance."""
-
-
-class NoConvergenceError(RuntimeError):
-    """Eigensolver failed to converge."""
 
 
 class InfeasibleError(RuntimeError):
@@ -44,53 +34,6 @@ class UnboundedError(RuntimeError):
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conj(a).T
-
-
-def frob(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
-
-
-@dataclass(frozen=True)
-class HermEig:
-    """Spectral decomposition H = V diag(w) V† with w ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def herm_eig(h: np.ndarray, tol: float = EIG_TOL) -> HermEig:
-    """Full spectral decomposition of a Hermitian matrix.
-
-    Eigenvalues come back ascending and the decomposition is
-    deterministic for identical input. Raises NotHermitianError when
-    ``norm(H - H†)`` exceeds ``tol`` and NoConvergenceError if the
-    underlying iteration fails.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if frob(h - dagger(h)) > tol:
-        raise NotHermitianError(
-            f"matrix deviates from Hermitian by {frob(h - dagger(h)):.3e} > {tol:.1e}"
-        )
-    try:
-        w, v = np.linalg.eigh((h + dagger(h)) / 2.0)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on <=200 dims
-        raise NoConvergenceError(str(exc)) from exc
-    return HermEig(eigenvalues=w, eigenvectors=v)
-
-
-def project_psd(h: np.ndarray, tol: float = EIG_TOL) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix to H.
-
-    Clips negative eigenvalues to zero and reassembles. Idempotent to
-    rounding: applying it twice moves the result by < 1e-10.
-    """
-    e = herm_eig(h, tol=tol)
-    w = np.maximum(e.eigenvalues, 0.0)
-    p = (e.eigenvectors * w) @ dagger(e.eigenvectors)
-    return (p + dagger(p)) / 2.0
 
 
 @dataclass(frozen=True)

@@ -189,25 +189,14 @@ def plain_key(w: Word) -> Word:
 
 @dataclass(frozen=True)
 class NPAProblem:
-    """A built relaxation: word list, cell classes, affine rows, objective.
-
-    ``cell_class`` assigns every cell of the (n + slacks)-dimensional
-    matrix its class index; ``class_keys`` holds the representative word
-    per class, with slack pseudo-words ('s1',), ('s2',) at the end when
-    eps is not None. eps enters only through ``d`` (the right-hand
-    sides), never through the classes.
+    """A validated relaxation: level, eps and the objective as sorted
+    (canonical word, coefficient) pairs. eps enters only through the
+    right-hand sides at solve time; the assembled relaxation is cached
+    per level, formulation and objective.
     """
 
     level: str
     eps: float | None
-    words: tuple[Word, ...]
-    n: int
-    m: int
-    class_keys: tuple[Word, ...]
-    cell_class: np.ndarray
-    A: np.ndarray
-    d: np.ndarray
-    cvec: np.ndarray
     objective: tuple[tuple[Word, float], ...]
 
 
@@ -235,61 +224,92 @@ class SDPSolution:
     gap: float
 
 
-def _assemble(words: list[Word], keyfn, eps, objective):
-    """Classes, equality rows and objective vector for a word list."""
+def _assemble(words: list[Word], keyfn, slacks: bool, objective: Mapping[Word, float]):
+    """Class cells as a stack of 0/1 matrices, the equality rows
+    (normalization, then the two slack rows when ``slacks``), the
+    objective vector, the slack flag of every class and the class index
+    of every key. With slacks, the pseudo-words ('s1',), ('s2',) are two
+    diagonal cells appended to the words."""
     n = len(words)
-    nslack = 2 if eps is not None else 0
-    m = n + nslack
+    m = n + 2 * slacks
     classes: dict[Word, list[tuple[int, int]]] = {}
     for i in range(n):
         for j in range(n):
             w = canonical(tuple(reversed(words[i])) + words[j])
             classes.setdefault(keyfn(w), []).append((i, j))
-    if nslack:
+    if slacks:
         classes[("s1",)] = [(n, n)]
         classes[("s2",)] = [(n + 1, n + 1)]
     keys = sorted(classes, key=lambda k: (len(k), k))
     kidx = {k: i for i, k in enumerate(keys)}
-    K = len(keys)
 
     def row(coefs: Mapping[Word, float]) -> np.ndarray:
-        r = np.zeros(K)
+        r = np.zeros(len(keys))
         for w, cf in coefs.items():
-            k = w if (w and w[0][0] == "s") else keyfn(canonical(w))
-            if k not in kidx:
-                raise ValueError(f"word {w} has no moment at this level")
-            r[kidx[k]] += cf
+            r[kidx[w if (w and w[0][0] == "s") else keyfn(canonical(w))]] += cf
         return r
 
     rows = [row({(): 1.0})]
-    rhs = [1.0]
-    if nslack:
+    if slacks:
         rows.append(row({("a1",): 1.0, ("a1", "b0"): -1.0, ("s1",): 1.0}))
-        rhs.append(float(eps))
         rows.append(row({("b1",): 1.0, ("a0", "b1"): -1.0, ("s2",): 1.0}))
-        rhs.append(float(eps))
-    cvec = row(objective)
+    # cells outside every class (moment-slack cross entries) stay zero
+    E = np.zeros((len(keys), m, m))
+    for k, key in enumerate(keys):
+        for (i, j) in classes[key]:
+            E[k, i, j] = 1.0
+    slack = np.array([k in (("s1",), ("s2",)) for k in keys])
+    return E, np.array(rows), row(objective), slack, kidx
 
-    # cells outside every class (moment-slack cross entries) stay -1:
-    # the relaxation's matrix is zero there
-    cell_class = np.full((m, m), -1, dtype=int)
-    for k, kk in enumerate(keys):
-        for (i, j) in classes[kk]:
-            cell_class[i, j] = k
-    return dict(n=n, m=m, K=K, keys=tuple(keys), kidx=kidx,
-                A=np.array(rows), d=np.array(rhs), cvec=cvec,
-                cell_class=cell_class)
+
+class _Relaxation:
+    """One assembled relaxation: class cells as a stack of 0/1 matrices,
+    equality rows, objective, the slack classes (certificate bound
+    1 + eps) and the class of every cell of the level's full moment
+    matrix (the lift). eps only moves the right-hand side, so one
+    object serves every eps at a level.
+
+    The objective is checked against the plain moments of the full
+    level on every route: the reduced route alone would accept a word
+    whose zero-face rewrite is a moment, e.g. a0 a1 b0 at level 1.
+    """
+
+    def __init__(self, level: str, reduced: bool, slacks: bool, objective):
+        full = words_for_level(level)
+        cells = [[canonical(tuple(reversed(u)) + v) for v in full] for u in full]
+        moments = {plain_key(w) for row in cells for w in row}
+        for w, _ in objective:
+            if plain_key(w) not in moments:
+                raise ValueError(f"word {w} has no moment at this level")
+        words = [w for w in full if strip_fix(w) == w] if reduced else full
+        keyfn = merged_key if reduced else plain_key
+        self.E, self.A, self.c, self.slack, kidx = _assemble(words, keyfn, slacks,
+                                                             dict(objective))
+        self.lift = np.array([[kidx[keyfn(w)] for w in row] for row in cells])
+
+
+_relaxation_cache: dict[tuple, _Relaxation] = {}
+
+
+def _relaxation(p: NPAProblem) -> _Relaxation:
+    """The cached relaxation that solves p: reduced at eps = 0, with the
+    slack rows at eps > 0, with neither at eps = None."""
+    key = (p.level, p.eps == 0.0, p.eps not in (None, 0.0), p.objective)
+    if key not in _relaxation_cache:
+        _relaxation_cache[key] = _Relaxation(*key)
+    return _relaxation_cache[key]
 
 
 def build_problem(level, eps: float | None = 0.0,
                   objective: Mapping[Word, float] | None = None) -> NPAProblem:
-    """Assemble the moment relaxation at a hierarchy level.
+    """Validate a moment relaxation at a hierarchy level.
 
     eps = None drops the two inequality rows entirely (unconstrained
     maximization); otherwise eps must be nonnegative and appears only in
-    the right-hand sides. The objective maps canonical words to
-    coefficients; a coefficient on the empty word adds a constant. The
-    default picks out the score.
+    the right-hand sides. The objective maps words to coefficients; a
+    coefficient on the empty word adds a constant. The default picks
+    out the score. The relaxation that solve() uses is assembled here,
+    once per level, formulation and objective, and then cached.
     """
     lv = str(level)
     if lv not in LEVELS:
@@ -299,34 +319,12 @@ def build_problem(level, eps: float | None = 0.0,
     if objective is None:
         objective = DEFAULT_OBJECTIVE
     objective = {canonical(w): float(cf) for w, cf in objective.items()}
-    words = words_for_level(lv)
-    s = _assemble(words, plain_key, eps, objective)
-    return NPAProblem(level=lv, eps=eps, words=tuple(words), n=s["n"], m=s["m"],
-                      class_keys=s["keys"], cell_class=s["cell_class"],
-                      A=s["A"], d=s["d"], cvec=s["cvec"],
-                      objective=tuple(sorted(objective.items())))
+    p = NPAProblem(level=lv, eps=eps, objective=tuple(sorted(objective.items())))
+    _relaxation(p)  # checks the objective's words
+    return p
 
 
 # -- interior-point solver ------------------------------------------------
-
-class _Relaxation:
-    """One assembled relaxation: class cells as a stack of 0/1 matrices,
-    equality rows, objective, the slack classes (certificate bound
-    1 + eps) and the class of every cell of the level's full moment
-    matrix (the lift). eps only moves the right-hand side, so one
-    object serves every eps at a level."""
-
-    def __init__(self, level: str, reduced: bool, slacks: bool, objective):
-        full = words_for_level(level)
-        words = [w for w in full if strip_fix(w) == w] if reduced else full
-        keyfn = merged_key if reduced else plain_key
-        s = _assemble(words, keyfn, 0.0 if slacks else None, dict(objective))
-        self.E = (s["cell_class"] == np.arange(s["K"])[:, None, None]).astype(float)
-        self.A, self.c = s["A"], s["cvec"]
-        self.slack = np.array([k in (("s1",), ("s2",)) for k in s["keys"]])
-        self.lift = np.array([[s["kidx"][keyfn(canonical(tuple(reversed(u)) + v))]
-                               for v in full] for u in full])
-
 
 def _ipm(rel: _Relaxation, d: np.ndarray, tol: float, max_iter: int):
     """Primal-dual interior-point method; returns y, lambda, Z, the
@@ -389,15 +387,6 @@ def _ipm(rel: _Relaxation, d: np.ndarray, tol: float, max_iter: int):
     return y, lam, Z, pres, dres, it, status
 
 
-_relaxation_cache: dict[tuple, _Relaxation] = {}
-
-
-def _relaxation(*key) -> _Relaxation:
-    if key not in _relaxation_cache:
-        _relaxation_cache[key] = _Relaxation(*key)
-    return _relaxation_cache[key]
-
-
 def solve(p: NPAProblem, tol: float = DEFAULT_TOL,
           max_iter: int = DEFAULT_MAX_ITER) -> SDPSolution:
     """Bound the objective over the relaxation from above.
@@ -406,9 +395,9 @@ def solve(p: NPAProblem, tol: float = DEFAULT_TOL,
     is the weak-duality bound of the final dual iterate, valid also when
     the status is not "Converged".
     """
-    reduced = p.eps == 0.0
-    rel = _relaxation(p.level, reduced, p.eps is not None and not reduced, p.objective)
-    d = p.d[:len(rel.A)]  # the reduced problem keeps only the normalization row
+    rel = _relaxation(p)
+    # the reduced and eps = None problems keep only the normalization row
+    d = np.array([1.0, p.eps, p.eps]) if rel.slack.any() else np.ones(1)
     y, lam, Z, pres, dres, it, status = _ipm(rel, d, tol, max_iter)
     w, V = np.linalg.eigh(Z)
     z_plus = (V * np.maximum(w, 0.0)) @ V.T

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import acos, atan2, cos, pi, sin, sqrt, tan
 
 import numpy as np

@@ -13,7 +13,6 @@ constraints with three real amplitudes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import atan, cos, pi, sin, sqrt, tan
 
@@ -63,16 +62,6 @@ class MeasurementParams:
                 f"phi, xi must lie in [0, 2pi): got {self.phi}, {self.xi}"
             )
 
-    def to_json(self) -> str:
-        return json.dumps({"alpha": self.alpha, "beta": self.beta,
-                           "phi": self.phi, "xi": self.xi})
-
-    @classmethod
-    def from_json(cls, text: str) -> "MeasurementParams":
-        d = json.loads(text)
-        return cls(alpha=d["alpha"], beta=d["beta"],
-                   phi=d.get("phi", 0.0), xi=d.get("xi", 0.0))
-
 
 @dataclass(frozen=True)
 class ConstrainedStateParams:
@@ -90,18 +79,6 @@ class ConstrainedStateParams:
         if not 0.0 <= self.delta < TWO_PI:
             raise OutOfRangeError(f"delta must lie in [0, 2pi): got {self.delta}")
 
-    def to_json(self) -> str:
-        m = self.meas
-        return json.dumps({"c": self.c, "delta": self.delta, "alpha": m.alpha,
-                           "beta": m.beta, "phi": m.phi, "xi": m.xi})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConstrainedStateParams":
-        d = json.loads(text)
-        meas = MeasurementParams(alpha=d["alpha"], beta=d["beta"],
-                                 phi=d.get("phi", 0.0), xi=d.get("xi", 0.0))
-        return cls(c=d["c"], delta=d["delta"], meas=meas)
-
 
 @dataclass(frozen=True)
 class AnsatzParams:
@@ -116,16 +93,6 @@ class AnsatzParams:
 
     def norm_defect(self) -> float:
         return self.s00 ** 2 + 2 * self.s01 ** 2 + self.s11 ** 2 - 1.0
-
-    def to_json(self) -> str:
-        return json.dumps({"s00": self.s00, "s01": self.s01, "s11": self.s11,
-                           "phi": self.phi, "xi": self.xi})
-
-    @classmethod
-    def from_json(cls, text: str) -> "AnsatzParams":
-        d = json.loads(text)
-        return cls(s00=d["s00"], s01=d["s01"], s11=d["s11"],
-                   phi=d.get("phi", 0.0), xi=d.get("xi", 0.0))
 
 
 @dataclass(frozen=True)

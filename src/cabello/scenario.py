@@ -10,7 +10,6 @@ of Alice "+" and Bob "-" for settings (x, y).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -56,13 +55,6 @@ class Behavior:
             raise ValueError("behavior not normalized per setting pair")
         object.__setattr__(self, "p", p)
 
-    def to_json(self) -> str:
-        return json.dumps({"p": self.p.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Behavior":
-        return cls(p=np.array(json.loads(text)["p"], dtype=float))
-
 
 @dataclass(frozen=True)
 class CabelloStats:
@@ -86,20 +78,6 @@ class DeterministicStrategy:
     a1: int
     b0: int
     b1: int
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Outcome of a nonlocality check against the eps-constrained bound.
-
-    ``constraints_violated`` flags the case e10 > eps or e01 > eps, in
-    which the behavior is outside the regime the bound applies to and
-    ``certified`` is necessarily False.
-    """
-
-    certified: bool
-    margin: float
-    constraints_violated: bool
 
 
 def _stack_measurements(proj, n: int, dim: int, who: str, batched: bool) -> np.ndarray:
@@ -249,18 +227,3 @@ def local_max_score(eps: float) -> float:
     value, _ = solve_lp(LPProblem(c=score, A=A, b=b, nonneg=np.ones(16, dtype=bool)),
                         tol=LP_TOL)
     return value + 0.0  # normalize -0.0
-
-
-def certify_nonlocal(b: Behavior, eps: float) -> Certificate:
-    """Check a behavior against the eps-constrained local bound.
-
-    certified means the constraint probabilities respect eps and the
-    score strictly exceeds local_max_score(eps). The margin (score
-    minus bound) is reported either way.
-    """
-    st = cabello_stats(b)
-    bound = local_max_score(eps)
-    violated = st.e10 > eps + _BEHAVIOR_TOL or st.e01 > eps + _BEHAVIOR_TOL
-    certified = (not violated) and st.score > bound
-    return Certificate(certified=certified, margin=st.score - bound,
-                       constraints_violated=violated)

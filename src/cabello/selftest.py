@@ -24,14 +24,6 @@ import numpy as np
 from .mathcore import dagger
 from .qubit import AnsatzParams, MeasurementParams, analytic_optimum, ansatz_state, projectors
 
-_TOL = 1e-10
-_PAIR_EIG_MIN = 1e-12   # below this, a Jordan angle counts as degenerate (1x1)
-
-
-class InvalidProjectorError(ValueError):
-    """Input operator is not an orthogonal projector."""
-
-
 class BadWeightsError(ValueError):
     """Direct-sum weights are negative or do not sum to one."""
 
@@ -42,22 +34,6 @@ class OddDimensionError(ValueError):
 
 class BasisMismatchError(ValueError):
     """State layout inconsistent with the even/odd block convention."""
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Joint block structure of two projectors.
-
-    ``basis`` holds the new orthonormal basis as columns; ``blocks``
-    lists the index tuple of each block (size 1 or 2); the restricted
-    projectors are the corresponding sub-matrices of both inputs in the
-    new basis.
-    """
-
-    basis: np.ndarray
-    blocks: tuple[tuple[int, ...], ...]
-    p0_blocks: tuple[np.ndarray, ...]
-    p1_blocks: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -80,16 +56,19 @@ class DirectSumState:
         bs = np.asarray(self.block_states, dtype=complex)
         if mu.ndim != 2 or mu.size == 0:
             raise BadWeightsError("weights must form a nonempty matrix")
-        if mu.min() < -1e-12 or abs(mu.sum() - 1.0) > 1e-9:
-            raise BadWeightsError(
-                f"weights must be nonnegative and sum to 1 (sum = {mu.sum():.12f})"
-            )
+        with np.errstate(invalid="ignore"):  # inf - inf
+            total = mu.sum()
+        # written so that NaN fails: a weight that is not finite leaves
+        # the sum NaN or infinite
+        if not (mu.min() >= -1e-12 and abs(total - 1.0) <= 1e-9):
+            raise BadWeightsError("weights must be finite, nonnegative and sum to 1 "
+                                  f"(sum = {total:.12f})")
         if bs.shape != mu.shape + (4,):
             raise BasisMismatchError(
                 f"block states shaped {bs.shape}, expected {mu.shape + (4,)}"
             )
         norms = np.linalg.norm(bs, axis=2)
-        if np.any(np.abs(norms[mu > 1e-12] - 1.0) > 1e-9):
+        if not np.all(np.abs(norms[mu > 1e-12] - 1.0) <= 1e-9):
             raise BasisMismatchError("occupied block states must be normalized")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "block_states", bs)
@@ -136,89 +115,6 @@ class IsometryReport:
                            "blocks": list(self.blocks)})
 
 
-def _check_projector(p, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=complex)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise InvalidProjectorError(f"{name} must be square, got shape {p.shape}")
-    if np.linalg.norm(p - dagger(p)) > _TOL:
-        raise InvalidProjectorError(f"{name} is not Hermitian")
-    if np.linalg.norm(p @ p - p) > _TOL:
-        raise InvalidProjectorError(f"{name} is not idempotent")
-    return (p + dagger(p)) / 2
-
-
-def block_diagonalize(p0, p1) -> BlockDecomposition:
-    """Simultaneous <=2-dimensional block structure of two projectors.
-
-    Eigenvectors of p1 compressed to the range of p0 give the Jordan
-    angles: eigenvalues strictly inside (0, 1) pair a range vector with
-    its kernel partner (1 - p0) p1 u, normalized by sqrt(lam (1 - lam));
-    partners of distinct pairs are automatically orthogonal. Eigenvalues
-    at 0 or 1, and the kernel directions left over after removing the
-    partners, form the 1x1 blocks. The block invariant is re-verified
-    on the output before returning.
-    """
-    p0 = _check_projector(p0, "p0")
-    p1 = _check_projector(p1, "p1")
-    if p0.shape != p1.shape:
-        raise InvalidProjectorError("p0 and p1 act on different dimensions")
-    d = p0.shape[0]
-    w, v = np.linalg.eigh(p0)
-    ker = v[:, w < 0.5]
-    ran = v[:, w >= 0.5]
-    pairs = []          # (lam, range vector, kernel partner)
-    singles_ran = []    # (p0 eig, p1 eig, vector)
-    if ran.shape[1]:
-        lam, u = np.linalg.eigh(dagger(ran) @ p1 @ ran)
-        for i in range(ran.shape[1] - 1, -1, -1):  # descending Jordan angle
-            li = float(lam[i])
-            ui = ran @ u[:, i]
-            if min(li, 1.0 - li) <= _PAIR_EIG_MIN:
-                singles_ran.append((1.0, round(li), ui))
-            else:
-                wi = (p1 @ ui) - p0 @ (p1 @ ui)
-                pairs.append((li, ui, wi / np.linalg.norm(wi)))
-    singles_ker = []
-    if ker.shape[1]:
-        if pairs:
-            partners = np.column_stack([p[2] for p in pairs])
-            resid = ker - partners @ (dagger(partners) @ ker)
-        else:
-            resid = ker
-        # orthonormal basis of the unconsumed kernel directions
-        uu, ss, _ = np.linalg.svd(resid, full_matrices=False)
-        resid = uu[:, ss > 1e-8]
-        if resid.shape[1]:
-            lam2, u2 = np.linalg.eigh(dagger(resid) @ p1 @ resid)
-            for i in range(resid.shape[1] - 1, -1, -1):
-                singles_ker.append((0.0, round(float(lam2[i])), resid @ u2[:, i]))
-
-    cols = []
-    blocks = []
-    for li, ui, wi in pairs:
-        blocks.append((len(cols), len(cols) + 1))
-        cols += [ui, wi]
-    for _, _, vec in singles_ran + singles_ker:
-        blocks.append((len(cols),))
-        cols.append(vec)
-    basis = np.column_stack(cols)
-
-    t0 = dagger(basis) @ p0 @ basis
-    t1 = dagger(basis) @ p1 @ basis
-    mask = np.ones((d, d), dtype=bool)
-    for blk in blocks:
-        for i in blk:
-            for j in blk:
-                mask[i, j] = False
-    leak = max(np.abs(t0[mask]).max(initial=0.0), np.abs(t1[mask]).max(initial=0.0))
-    if leak > _TOL:
-        raise RuntimeError(f"block structure failed to close: leak {leak:.3e}")
-    p0_blocks = tuple(t0[np.ix_(blk, blk)].copy() for blk in blocks)
-    p1_blocks = tuple(t1[np.ix_(blk, blk)].copy() for blk in blocks)
-    return BlockDecomposition(basis=basis, blocks=tuple(blocks),
-                              p0_blocks=p0_blocks, p1_blocks=p1_blocks)
-
-
 _OPT = analytic_optimum()
 
 
@@ -251,18 +147,8 @@ def assemble_direct_sum(weights, phases: tuple[float, float] = (0.0, 0.0)) -> Di
     scores the qubit maximum for any valid weights.
     """
     mu = np.asarray(weights, dtype=float)
-    if mu.ndim == 1:
-        if mu.size == 0:
-            raise BadWeightsError("weights must be nonempty")
-        mu = np.diag(mu)
-    elif mu.ndim != 2:
-        raise BadWeightsError("weights must be a vector or a matrix")
-    if not np.isfinite(mu).all():
-        raise BadWeightsError(f"weights must be finite, got {weights}")
-    if mu.min() < -1e-12 or abs(mu.sum() - 1.0) > 1e-9:
-        raise BadWeightsError(
-            f"weights must be nonnegative and sum to 1 (sum = {mu.sum():.12f})"
-        )
+    if mu.ndim <= 1:
+        mu = np.diag(np.atleast_1d(mu))
     phi, xi = phases
     psi = optimal_block_state(phi, xi)
     bs = np.broadcast_to(psi, mu.shape + (4,)).copy()

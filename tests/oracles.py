@@ -186,7 +186,3 @@ def random_local_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
-
-def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return scale * (z + z.conj().T) / 2

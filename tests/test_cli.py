@@ -59,6 +59,14 @@ def test_parse_rejects_unknown_verb_and_flag():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [["--tol", "1e-9"], ["--max-iter", "5"]])
+def test_npa_has_no_solver_knobs(flag):
+    # the library keeps solve(p, tol, max_iter); the command line does not
+    with pytest.raises(SystemExit) as exc:
+        parse(["npa", *flag])
+    assert exc.value.code == 2
+
+
 def test_local_bound_verb(capsys):
     code, out, err = run_cli(["local-bound", "--eps", "0.1"], capsys)
     assert code == 0

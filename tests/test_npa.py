@@ -12,7 +12,6 @@ import cabello.npa as npa
 from cabello.npa import (
     DEFAULT_OBJECTIVE,
     LEVELS,
-    NPAProblem,
     UnsupportedLevelError,
     adjoint,
     build_problem,
@@ -75,21 +74,45 @@ def test_adjoint_class_consistency(w, v):
     assert plain_key(wv) == plain_key(vw)
 
 
-def test_eps_enters_rhs_only():
-    p1 = build_problem("2", eps=0.0)
-    p2 = build_problem("2", eps=0.3)
-    assert p1.class_keys == p2.class_keys
-    assert np.array_equal(p1.cell_class, p2.cell_class)
-    assert np.array_equal(p1.A, p2.A)
-    assert not np.array_equal(p1.d, p2.d)
-    assert p2.d[1] == 0.3 and p2.d[2] == 0.3
+def test_eps_enters_rhs_only(monkeypatch):
+    # eps moves only the right-hand side: one cached relaxation serves
+    # every positive eps, and the bound still follows eps
+    monkeypatch.setattr(npa, "_relaxation_cache", {})
+    lo = solve(build_problem("2", eps=0.1))
+    hi = solve(build_problem("2", eps=0.3))
+    assert len(npa._relaxation_cache) == 1
+    assert hi.value > lo.value + 0.1
 
 
-def test_problem_shape_with_and_without_slacks():
-    p = build_problem("1", eps=0.1)
-    assert p.n == 5 and p.m == 7  # two slack diagonal cells appended
-    u = build_problem("1", eps=None)
-    assert u.n == 5 and u.m == 5
+def test_problem_shape_with_and_without_slacks(monkeypatch):
+    monkeypatch.setattr(npa, "_relaxation_cache", {})
+    for eps in (0.1, 0.2, None):
+        build_problem("1", eps=eps)
+    # eps 0.1 and 0.2 share the first relaxation
+    slack, plain = npa._relaxation_cache.values()
+    # two slack diagonal cells and two inequality rows appended
+    assert slack.E.shape[1:] == (7, 7) and slack.A.shape[0] == 3
+    assert plain.E.shape[1:] == (5, 5) and plain.A.shape[0] == 1
+    for eps in (0.1, None):
+        assert solve(build_problem("1", eps=eps)).moment_matrix.shape == (5, 5)
+
+
+def test_one_assembly_per_relaxation(monkeypatch):
+    monkeypatch.setattr(npa, "_relaxation_cache", {})
+    calls = []
+    assemble = npa._assemble
+    monkeypatch.setattr(npa, "_assemble", lambda *a: calls.append(a) or assemble(*a))
+    for eps in (0.05, 0.1, 0.15, 0.2, 0.25):
+        solve(build_problem("2", eps=eps))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("eps", [None, 0.0, 0.1])
+def test_word_without_moment_rejected_on_every_route(eps):
+    # at eps = 0 the zero-face rewrite turns a0 a1 b0 into the level-1
+    # moment a0 a1, so the check must use the plain moments
+    with pytest.raises(ValueError, match="has no moment at this level"):
+        build_problem("1", eps, {("a0", "a1", "b0"): 1.0})
 
 
 def test_chsh_reaches_tsirelson():
@@ -150,18 +173,20 @@ def test_level2_saturates_at_eps_half():
 
 def test_solution_is_class_consistent_and_nearly_psd():
     for level, eps in (("1+AB", 0.0), ("2", 0.075), ("2", 0.0)):
-        p = build_problem(level, eps=eps)
-        sol = solve(p)
+        words = words_for_level(level)
+        sol = solve(build_problem(level, eps=eps))
         assert sol.status == "Converged"
         g = sol.moment_matrix
-        assert g.shape == (p.n, p.n)
+        assert g.shape == (len(words), len(words))
         assert abs(g[0, 0] - 1.0) < 1e-6
         # every equality class takes a single value
-        cc = p.cell_class[:p.n, :p.n]
-        for k in range(len(p.class_keys)):
-            cells = g[cc == k]
-            if cells.size > 1:
-                assert cells.max() - cells.min() < 1e-6
+        classes = {}
+        for i, u in enumerate(words):
+            for j, v in enumerate(words):
+                key = plain_key(canonical(tuple(reversed(u)) + v))
+                classes.setdefault(key, []).append(g[i, j])
+        for cells in classes.values():
+            assert max(cells) - min(cells) < 1e-6
         assert np.linalg.eigvalsh((g + g.T) / 2).min() >= -1e-6
 
 

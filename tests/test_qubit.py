@@ -1,8 +1,6 @@
 """Tests for the constrained two-qubit family, the closed-form score,
 the analytic optimum, the ansatz family, and the POVM decomposition."""
 
-import json
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -317,15 +315,3 @@ def test_povm_invalid_effect_rejected():
     with pytest.raises(InvalidEffectError):
         decompose_povm(QubitPovmEffect(a0=0.5, eta=0.1,
                                        axis=np.array([0.0, 0.0, 2.0])))
-
-
-def test_json_field_names():
-    m = MeasurementParams(alpha=1.0, beta=2.0, phi=0.25, xi=0.75)
-    d = json.loads(m.to_json())
-    assert set(d.keys()) == {"alpha", "beta", "phi", "xi"}
-    assert MeasurementParams.from_json(m.to_json()) == m
-
-    p = ConstrainedStateParams(c=0.3, delta=1.0, meas=m)
-    d = json.loads(p.to_json())
-    assert set(d.keys()) == {"c", "delta", "alpha", "beta", "phi", "xi"}
-    assert ConstrainedStateParams.from_json(p.to_json()) == p

@@ -1,16 +1,12 @@
 """Tests for behaviors, statistics, and the constrained local bound."""
 
-import json
-
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from cabello.mathcore import dagger
 from cabello.qubit import (
     ConstrainedStateParams,
     MeasurementParams,
-    analytic_optimum,
     constrained_state,
     projectors,
 )
@@ -22,7 +18,6 @@ from cabello.scenario import (
     InvalidStateError,
     behavior_from_quantum,
     cabello_stats,
-    certify_nonlocal,
     deterministic_behavior,
     enumerate_local_deterministic,
     local_max_score,
@@ -43,13 +38,6 @@ def _example_3_80():
     m = MeasurementParams(alpha=np.pi / 3, beta=np.pi / 3,
                           phi=np.pi / 2, xi=np.pi / 2)
     p = ConstrainedStateParams(c=np.sqrt(9.0 / 15.0), delta=0.0, meas=m)
-    return behavior_from_quantum(constrained_state(p), *_split(projectors(m)))
-
-
-def _optimal_behavior():
-    opt = analytic_optimum()
-    m = MeasurementParams(alpha=opt.alpha, beta=opt.beta, phi=0.0, xi=0.0)
-    p = ConstrainedStateParams(c=opt.c, delta=np.pi, meas=m)
     return behavior_from_quantum(constrained_state(p), *_split(projectors(m)))
 
 
@@ -103,14 +91,6 @@ def test_behavior_rejects_bad_normalization():
     batch[1] = p
     with pytest.raises(ValueError):
         Behavior(p=batch)
-
-
-def test_behavior_json_round_trip():
-    b = _example_3_80()
-    b2 = Behavior.from_json(b.to_json())
-    assert_allclose(b2.p, b.p, atol=0)
-    # serialized form uses the documented key
-    assert set(json.loads(b.to_json()).keys()) == {"p"}
 
 
 def test_rejects_unnormalized_state():
@@ -291,30 +271,3 @@ def test_stats_invariant_under_local_unitaries():
         pb2 = tuple((ub @ e0 @ dagger(ub), ub @ e1 @ dagger(ub)) for e0, e1 in pb)
         b2 = behavior_from_quantum(state2, pa2, pb2)
         assert np.abs(b2.p - base.p).max() < 1e-10
-
-
-def test_certify_3_80_at_eps_zero():
-    cert = certify_nonlocal(_example_3_80(), eps=0.0)
-    assert cert.certified
-    assert abs(cert.margin - 0.0375) < 1e-10
-    assert not cert.constraints_violated
-
-
-def test_certify_rejects_deterministic():
-    for s, b in enumerate_local_deterministic():
-        cert = certify_nonlocal(b, eps=0.0)
-        assert not cert.certified
-
-
-def test_certify_optimal_behavior():
-    cert = certify_nonlocal(_optimal_behavior(), eps=0.0)
-    assert cert.certified
-    assert abs(cert.margin - 0.1078127177489364) < 1e-9
-
-
-def test_certify_flags_constraint_violation():
-    s = DeterministicStrategy(a0=1, a1=0, b0=1, b1=0)
-    b = deterministic_behavior(s)  # e10 = 1
-    cert = certify_nonlocal(b, eps=0.0)
-    assert not cert.certified
-    assert cert.constraints_violated

@@ -1,5 +1,5 @@
-"""Tests for block diagonalization, direct-sum assembly, and the
-extraction isometry behind the self-testing verification."""
+"""Tests for direct-sum assembly and the extraction isometry behind the
+self-testing verification."""
 
 import json
 
@@ -13,102 +13,15 @@ from cabello.selftest import (
     BadWeightsError,
     BasisMismatchError,
     DirectSumState,
-    InvalidProjectorError,
     OddDimensionError,
     assemble_direct_sum,
-    block_diagonalize,
     block_extended_measurements,
     extraction_isometry,
     optimal_block_state,
     verify_selftest,
 )
 
-from oracles import random_local_unitary
-
 OPT = analytic_optimum()
-
-
-def _rand_projector(rng, d, rank):
-    u = random_local_unitary(rng, d)
-    return u[:, :rank] @ u[:, :rank].conj().T
-
-
-def _block_diag_reconstruction(dec, d):
-    out0 = np.zeros((d, d), dtype=complex)
-    out1 = np.zeros((d, d), dtype=complex)
-    for blk, b0, b1 in zip(dec.blocks, dec.p0_blocks, dec.p1_blocks):
-        out0[np.ix_(blk, blk)] = b0
-        out1[np.ix_(blk, blk)] = b1
-    u = dec.basis
-    return u @ out0 @ u.conj().T, u @ out1 @ u.conj().T
-
-
-def test_block_diagonalize_commuting_projectors():
-    p0 = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-    p1 = np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex)
-    dec = block_diagonalize(p0, p1)
-    assert all(len(b) == 1 for b in dec.blocks)
-    r0, r1 = _block_diag_reconstruction(dec, 4)
-    assert np.abs(r0 - p0).max() < 1e-10
-    assert np.abs(r1 - p1).max() < 1e-10
-
-
-def test_block_diagonalize_single_qubit_pair():
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    dec = block_diagonalize(p0, plus)
-    assert [len(b) for b in dec.blocks] == [2]
-    r0, r1 = _block_diag_reconstruction(dec, 2)
-    assert np.abs(r0 - p0).max() < 1e-10
-    assert np.abs(r1 - plus).max() < 1e-10
-
-
-def test_block_diagonalize_two_distinct_pairs():
-    # direct sum of two qubit pairs with different principal angles
-    def pair(theta):
-        v = np.array([np.cos(theta), np.sin(theta)])
-        return np.outer(v, v)
-
-    t1, t2 = 0.4, 1.1
-    p0 = np.kron(np.eye(2), np.diag([1.0, 0.0])).astype(complex)
-    p1 = np.zeros((4, 4), dtype=complex)
-    p1[:2, :2] = pair(t1)
-    p1[2:, 2:] = pair(t2)
-    dec = block_diagonalize(p0, p1)
-    assert sorted(len(b) for b in dec.blocks) == [2, 2]
-    # principal angles recoverable from the nonzero singular values
-    sv = np.linalg.svd(p0 @ p1, compute_uv=False)
-    got = np.sort(sv[sv > 1e-10])
-    assert_allclose(got, np.sort(np.abs([np.cos(t1), np.cos(t2)])), atol=1e-10)
-    r0, r1 = _block_diag_reconstruction(dec, 4)
-    assert np.abs(r0 - p0).max() < 1e-10
-    assert np.abs(r1 - p1).max() < 1e-10
-
-
-def test_block_diagonalize_random_reconstruction():
-    rng = np.random.default_rng(6)
-    for _ in range(60):
-        d = int(rng.integers(2, 9))
-        p0 = _rand_projector(rng, d, int(rng.integers(1, d)))
-        p1 = _rand_projector(rng, d, int(rng.integers(1, d)))
-        dec = block_diagonalize(p0, p1)
-        assert all(len(b) in (1, 2) for b in dec.blocks)
-        assert sum(len(b) for b in dec.blocks) == d
-        u = dec.basis
-        assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-10
-        r0, r1 = _block_diag_reconstruction(dec, d)
-        assert np.abs(r0 - p0).max() < 1e-10
-        assert np.abs(r1 - p1).max() < 1e-10
-
-
-def test_block_diagonalize_rejects_non_projector():
-    good = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(InvalidProjectorError):
-        block_diagonalize(good, np.diag([0.5, 0.0]).astype(complex))
-    with pytest.raises(InvalidProjectorError):
-        block_diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]), good)
-    with pytest.raises(InvalidProjectorError):
-        block_diagonalize(good, np.eye(3, dtype=complex))
 
 
 def test_assemble_single_weight_is_optimal_state():
@@ -256,6 +169,15 @@ def test_direct_sum_state_validation():
     bad[0, 0, 0] = 2.0  # unnormalized occupied block
     with pytest.raises(BasisMismatchError):
         DirectSumState(mu=np.array([[1.0]]), block_states=bad)
+
+
+def test_direct_sum_state_rejects_nan():
+    good = optimal_block_state().reshape(1, 1, 4)
+    for mu in ([[np.nan]], [[np.inf]], [[0.5, np.nan]], [[np.inf, -np.inf]]):
+        with pytest.raises(BadWeightsError):
+            DirectSumState(mu=mu, block_states=np.broadcast_to(good, np.shape(mu) + (4,)))
+    with pytest.raises(BasisMismatchError):
+        DirectSumState(mu=[[1.0]], block_states=np.full((1, 1, 4), np.nan))
 
 
 def test_report_json_shape():
