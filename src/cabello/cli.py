@@ -200,21 +200,6 @@ def sweep_to_csv(records) -> str:
     return buf.getvalue()
 
 
-def read_sweep_csv(text: str):
-    """Parse a sweep CSV back into SweepRecord values (params are not
-    stored in the artifact and come back as None)."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != CSV_HEADER:
-        raise ValueError(f"bad sweep CSV header: {rows[:1]}")
-    out = []
-    for row in rows[1:]:
-        eps, local, lower, upper, level, status = row
-        out.append(optimize.SweepRecord(
-            eps=float(eps), local_bound=float(local), quantum_lower=float(lower),
-            quantum_upper=float(upper), level=level, status=status, params=None))
-    return out
-
-
 def _run_sweep(o, out) -> int:
     steps = o["steps"]
     if steps < 1:

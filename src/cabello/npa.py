@@ -64,8 +64,8 @@ LEVELS = ("1", "1+AB", "2", "3")
 
 DEFAULT_OBJECTIVE: Mapping[Word, float] = {("a1", "b1"): 1.0, ("a0", "b0"): -1.0}
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100  # Newton steps
+IPM_TOL = 1e-8      # residuals and duality gap at which solve() stops
+IPM_MAX_ITER = 100  # Newton steps
 
 
 class UnsupportedLevelError(ValueError):
@@ -211,8 +211,9 @@ class SDPSolution:
     reduced problem at eps = 0, exactly class consistent and PSD up to
     the primal residual. ``iterations`` counts Newton steps. ``status``
     is "Converged" when the primal residual, the dual residual and the
-    primal-dual objective difference are all below tol, "MaxIter" when
-    the step cap came first, and "Stalled" when a factorization failed.
+    primal-dual objective difference are all below ``IPM_TOL``,
+    "MaxIter" when the step cap ``IPM_MAX_ITER`` came first, and
+    "Stalled" when a factorization failed.
     """
 
     value: float
@@ -326,10 +327,10 @@ def build_problem(level, eps: float | None = 0.0,
 
 # -- interior-point solver ------------------------------------------------
 
-def _ipm(rel: _Relaxation, d: np.ndarray, tol: float, max_iter: int):
-    """Primal-dual interior-point method; returns y, lambda, Z, the
-    primal and dual residual norms, the Newton steps taken and the
-    status."""
+def _ipm(rel: _Relaxation, d: np.ndarray):
+    """Primal-dual interior-point method to ``IPM_TOL`` within
+    ``IPM_MAX_ITER`` steps; returns y, lambda, Z, the primal and dual
+    residual norms, the Newton steps taken and the status."""
     A, c, E = rel.A, rel.c, rel.E
     K, m = E.shape[:2]
     Ef = E.reshape(K, -1)
@@ -350,10 +351,10 @@ def _ipm(rel: _Relaxation, d: np.ndarray, tol: float, max_iter: int):
         rd = c - A.T @ lam + Ef @ Z.ravel()
         pres = float(np.sqrt(np.sum(Rp * Rp) + rp @ rp))
         dres = float(np.linalg.norm(rd))
-        if max(pres, dres, abs(d @ lam - c @ y)) < tol:
+        if max(pres, dres, abs(d @ lam - c @ y)) < IPM_TOL:
             status = "Converged"
             break
-        if it == max_iter:
+        if it == IPM_MAX_ITER:
             break
         try:
             LiS = np.linalg.inv(np.linalg.cholesky(S))
@@ -387,8 +388,7 @@ def _ipm(rel: _Relaxation, d: np.ndarray, tol: float, max_iter: int):
     return y, lam, Z, pres, dres, it, status
 
 
-def solve(p: NPAProblem, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER) -> SDPSolution:
+def solve(p: NPAProblem) -> SDPSolution:
     """Bound the objective over the relaxation from above.
 
     eps = 0 takes the presolved route (see module docstring). The value
@@ -398,7 +398,7 @@ def solve(p: NPAProblem, tol: float = DEFAULT_TOL,
     rel = _relaxation(p)
     # the reduced and eps = None problems keep only the normalization row
     d = np.array([1.0, p.eps, p.eps]) if rel.slack.any() else np.ones(1)
-    y, lam, Z, pres, dres, it, status = _ipm(rel, d, tol, max_iter)
+    y, lam, Z, pres, dres, it, status = _ipm(rel, d)
     w, V = np.linalg.eigh(Z)
     z_plus = (V * np.maximum(w, 0.0)) @ V.T
     r = rel.c - rel.A.T @ lam + rel.E.reshape(len(y), -1) @ z_plus.ravel()
@@ -409,10 +409,9 @@ def solve(p: NPAProblem, tol: float = DEFAULT_TOL,
                        gap=value - float(rel.c @ y))
 
 
-def npa_upper_bound(level, eps: float | None = 0.0, tol: float = DEFAULT_TOL,
-                    max_iter: int = DEFAULT_MAX_ITER) -> float:
+def npa_upper_bound(level, eps: float | None = 0.0) -> float:
     """Certified upper bound on the score at a hierarchy level: build
     then solve. The assembled relaxation is cached per level and
     formulation, so sweeping eps at a fixed level never re-assembles.
     """
-    return solve(build_problem(level, eps), tol=tol, max_iter=max_iter).value
+    return solve(build_problem(level, eps)).value

@@ -7,11 +7,12 @@ with the extra zero constraint. Phases are fixed to phi = xi = 0: the
 score depends on the three phases only through their sum, so freeing
 them adds flat directions and nothing else.
 
-Each search runs one SLSQP descent per start (``mathcore.minimize``)
-with hand-written gradients of its closed forms. Every chart keeps its
-equality structure exact (normalization, and for Hardy the zero
-constraint), so only box bounds and, for the nonideal search, the two
-eps inequalities reach the solver.
+Each search runs one SLSQP descent per start (``minimize``, stopped by
+``SLSQP_TOL`` and ``SLSQP_MAX_ITER``) with hand-written gradients of
+its closed forms. Every chart keeps its equality structure exact
+(normalization, and for Hardy the zero constraint), so only box bounds
+and, for the nonideal search, the two eps inequalities reach the
+solver.
 
 Every start draws its own generator from the master seed and a counter,
 and results merge by maximal score with lexicographic parameter
@@ -24,10 +25,11 @@ import json
 import math
 from dataclasses import dataclass
 from math import acos, atan2, cos, pi, sin, sqrt, tan
+from typing import Callable, Sequence
 
 import numpy as np
+import scipy.optimize
 
-from .mathcore import minimize
 from . import npa
 from .qubit import (ConstrainedStateParams, MeasurementParams, analytic_optimum,
                     closed_form_score)
@@ -38,6 +40,9 @@ SQRT2 = sqrt(2.0)
 
 DEFAULT_STARTS = 64
 DEFAULT_SEED = 0
+
+SLSQP_TOL = 1e-12     # ftol of every descent
+SLSQP_MAX_ITER = 200  # iteration cap of every descent
 
 _EDGE = 1e-9          # open-interval guard for the polar angles
 _BOUND_SLACK = 1e-12  # rounding allowed when comparing bounds of a sweep row
@@ -83,6 +88,54 @@ class SweepRecord:
 def _best(cands):
     """Max by score; exact ties broken toward the smaller parameter tuple."""
     return max(cands, key=lambda t: (t[0], tuple(-v for v in t[1])))
+
+
+# -- minimizer ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class MinimizeResult:
+    """End point of ``minimize``.
+
+    ``nevals`` counts objective plus gradient evaluations. ``converged``
+    is the solver's success flag; when it is False (for instance, the
+    iteration cap was reached) the last iterate is still returned.
+    """
+
+    x: np.ndarray
+    fun: float
+    nevals: int
+    converged: bool
+
+
+def minimize(
+    f: Callable[[np.ndarray], float],
+    jac: Callable[[np.ndarray], np.ndarray],
+    x0: Sequence[float],
+    bounds: Sequence[tuple[float | None, float | None]],
+    ineq: Callable[[np.ndarray], np.ndarray] | None = None,
+    ineq_jac: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> MinimizeResult:
+    """SLSQP descent from x0 subject to box ``bounds`` and ``ineq(x) >= 0``.
+
+    ``jac`` is the gradient of ``f`` and ``ineq_jac`` the Jacobian of
+    ``ineq`` (one row per constraint); both are used as given, with no
+    finite differences. The run is a deterministic function of the
+    arguments. The end point may violate ``ineq`` by rounding, so a
+    caller that needs exact feasibility restores it itself.
+    """
+    cons = [] if ineq is None else [{"type": "ineq", "fun": ineq, "jac": ineq_jac}]
+    res = scipy.optimize.minimize(
+        f,
+        np.asarray(x0, dtype=float),
+        jac=jac,
+        method="SLSQP",
+        bounds=bounds,
+        constraints=cons,
+        options={"ftol": SLSQP_TOL, "maxiter": SLSQP_MAX_ITER},
+    )
+    return MinimizeResult(x=np.asarray(res.x, dtype=float), fun=float(res.fun),
+                          nevals=int(res.nfev) + int(res.njev),
+                          converged=bool(res.success))
 
 
 # -- ideal problem ------------------------------------------------------

@@ -14,7 +14,7 @@ constraints with three real amplitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan, cos, pi, sin, sqrt, tan
+from math import atan, cos, isfinite, pi, sin, sqrt, tan
 
 import numpy as np
 
@@ -90,6 +90,10 @@ class AnsatzParams:
     s11: float
     phi: float = 0.0
     xi: float = 0.0
+
+    def __post_init__(self):
+        if not (isfinite(self.phi) and isfinite(self.xi)):  # False for NaN too
+            raise OutOfRangeError(f"phi, xi must be finite: got {self.phi}, {self.xi}")
 
     def norm_defect(self) -> float:
         return self.s00 ** 2 + 2 * self.s01 ** 2 + self.s11 ** 2 - 1.0

@@ -1,7 +1,8 @@
 """The 2-party / 2-setting / 2-outcome Bell scenario.
 
 Behaviors, the four distinguished Cabello probabilities, the 16-vertex
-local deterministic polytope, and the epsilon-constrained local bound.
+local deterministic polytope, and the epsilon-constrained local bound
+with its LP solver.
 
 Outcome convention, used everywhere in the package: the outcome labels
 (+, -) map to array indices (0, 1). So p[x][y][0][1] is the probability
@@ -15,10 +16,11 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
-
-from .mathcore import LPProblem, LP_TOL, solve_lp
+import scipy.optimize
 
 PLUS, MINUS = 0, 1
+
+LP_TOL = 1e-9  # primal and dual feasibility tolerance of the LP solver
 
 _QUANTUM_TOL = 1e-10
 _BEHAVIOR_TOL = 1e-9
@@ -30,6 +32,14 @@ class InvalidStateError(ValueError):
 
 class InvalidMeasurementError(ValueError):
     """Measurement operators fail hermiticity, idempotence or completeness."""
+
+
+class InfeasibleError(RuntimeError):
+    """LP has no feasible point."""
+
+
+class UnboundedError(RuntimeError):
+    """LP objective is unbounded above on the feasible region."""
 
 
 @dataclass(frozen=True)
@@ -210,6 +220,31 @@ def _vertex_stats() -> np.ndarray:
 _VERTICES = _vertex_stats()
 
 
+def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+    """Maximize c·x subject to A x <= b and x >= 0; returns (value, x).
+
+    Solved by HiGHS to the feasibility tolerance ``LP_TOL``. Raises
+    InfeasibleError or UnboundedError when the problem has no optimum;
+    any other solver failure surfaces as RuntimeError.
+    """
+    res = scipy.optimize.linprog(
+        -np.asarray(c, dtype=float),
+        A_ub=A,
+        b_ub=b,
+        bounds=(0.0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": LP_TOL,
+                 "dual_feasibility_tolerance": LP_TOL},
+    )
+    if res.status == 2:
+        raise InfeasibleError(res.message)
+    if res.status == 3:
+        raise UnboundedError(res.message)
+    if not res.success:  # pragma: no cover - defensive
+        raise RuntimeError(f"LP solver failure: {res.message}")
+    return float(-res.fun), np.asarray(res.x, dtype=float)
+
+
 def local_max_score(eps: float) -> float:
     """Exact LP optimum of p - q over the eps-constrained local polytope.
 
@@ -221,9 +256,8 @@ def local_max_score(eps: float) -> float:
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     score, e10, e01 = _VERTICES.T
     ones = np.ones(16)
-    # normalization written as a pair of <= rows so LPProblem stays pure-inequality
+    # normalization written as a pair of <= rows, since solve_lp takes inequalities only
     A = np.vstack([ones, -ones, e10, e01])
     b = np.array([1.0, -1.0, eps, eps])
-    value, _ = solve_lp(LPProblem(c=score, A=A, b=b, nonneg=np.ones(16, dtype=bool)),
-                        tol=LP_TOL)
+    value, _ = solve_lp(score, A, b)
     return value + 0.0  # normalize -0.0

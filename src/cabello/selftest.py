@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathcore import dagger
 from .qubit import AnsatzParams, MeasurementParams, analytic_optimum, ansatz_state, projectors
+
 
 class BadWeightsError(ValueError):
     """Direct-sum weights are negative or do not sum to one."""
@@ -200,7 +200,7 @@ def verify_selftest(state: DirectSumState) -> IsometryReport:
     flat = iso.phi_a @ flat @ iso.phi_b.T
     v4 = flat.reshape(da, 2, db, 2)
     anc = np.transpose(v4, (1, 3, 0, 2)).reshape(4, da * db)
-    rho = anc @ dagger(anc)
+    rho = anc @ anc.conj().T
     ref = optimal_block_state(state.phi, state.xi)
     fid = float(np.real(np.vdot(ref, rho @ ref)))
     fid = min(max(fid, 0.0), 1.0)

@@ -54,6 +54,24 @@ NPA_LEVEL2 = {
 
 TSIRELSON = 2 * np.sqrt(2.0)
 
+# Standard output of `cabello` at fixed command lines, frozen byte for
+# byte from the code before its LP and minimizer moved into the layers
+# that call them. The sweep is the benchmark's grid at the default
+# starts and seed. Each command exits 0. A change that alters these
+# numbers on purpose updates them and says so.
+CLI_STDOUT = {
+    ("sweep", "--eps-min", "0", "--eps-max", "0.15", "--steps", "4"):
+        "eps,local_bound,quantum_lower,quantum_upper,level,status\n"
+        "0,0,0.107812717749,0.107812721607,2,ok\n"
+        "0.05,0.1,0.303807122589,0.303807130362,2,ok\n"
+        "0.1,0.2,0.403863259867,0.403863272913,2,ok\n"
+        "0.15,0.3,0.485178962823,0.485178965675,2,ok\n",
+    ("npa", "--level", "2", "--eps", "0"): "0.107812721607\n",
+    ("npa", "--level", "2", "--eps", "0.05"): "0.303807130303\n",
+    ("npa", "--level", "3", "--eps", "0"): "0.107812720805\n",
+    ("npa", "--level", "3", "--eps", "0.05"): "0.303807144438\n",
+}
+
 
 def lp_vertex_oracle(c, A, b):
     """Brute-force optimum of max c.x, A x <= b, x >= 0 by enumerating

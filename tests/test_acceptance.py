@@ -38,7 +38,6 @@ from cabello.selftest import (
     block_extended_measurements,
     verify_selftest,
 )
-from cabello.mathcore import dagger
 
 import oracles
 
@@ -225,9 +224,9 @@ def test_criterion_10_property_suites_condensed():
     for _ in range(20):
         ua = oracles.random_local_unitary(rng, 2)
         ub = oracles.random_local_unitary(rng, 2)
-        pa2 = tuple((ua @ e0 @ dagger(ua), ua @ e1 @ dagger(ua))
+        pa2 = tuple((ua @ e0 @ ua.conj().T, ua @ e1 @ ua.conj().T)
                     for e0, e1 in pa)
-        pb2 = tuple((ub @ e0 @ dagger(ub), ub @ e1 @ dagger(ub))
+        pb2 = tuple((ub @ e0 @ ub.conj().T, ub @ e1 @ ub.conj().T)
                     for e0, e1 in pb)
         b2 = behavior_from_quantum(np.kron(ua, ub) @ state, pa2, pb2)
         assert np.abs(b2.p - base.p).max() < 1e-10

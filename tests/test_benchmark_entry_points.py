@@ -25,3 +25,22 @@ def test_every_traced_span_resolves():
     assert spans
     for module, attr, _, _ in spans:
         assert callable(getattr(getattr(cabello, module), attr)), (module, attr)
+
+
+def _counting(calls, name, inner):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return inner(*args, **kwargs)
+    return wrapper
+
+
+def test_layers_call_the_traced_kernels_by_module_attribute(monkeypatch):
+    # a wrapped attribute counts only if the layer looks it up at call
+    # time; a local alias would leave the span resolvable but untraced
+    calls = {"minimize": 0, "solve_lp": 0}
+    for module, name in ((cabello.optimize, "minimize"), (cabello.scenario, "solve_lp")):
+        monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
+    cabello.optimize.optimize_nonideal(0.1, starts=2)
+    assert calls["minimize"] > 0
+    cabello.scenario.local_max_score(0.1)
+    assert calls["solve_lp"] == 1

@@ -13,10 +13,9 @@ from cabello.cli import (
     execute,
     main,
     parse,
-    read_sweep_csv,
     sweep_to_csv,
 )
-from cabello.optimize import SweepRecord, sweep_epsilon
+from cabello.optimize import SweepRecord
 from cabello.scenario import behavior_from_quantum, cabello_stats
 
 import oracles
@@ -61,7 +60,7 @@ def test_parse_rejects_unknown_verb_and_flag():
 
 @pytest.mark.parametrize("flag", [["--tol", "1e-9"], ["--max-iter", "5"]])
 def test_npa_has_no_solver_knobs(flag):
-    # the library keeps solve(p, tol, max_iter); the command line does not
+    # the solver's tolerance and step cap are constants of npa, not flags
     with pytest.raises(SystemExit) as exc:
         parse(["npa", *flag])
     assert exc.value.code == 2
@@ -201,6 +200,8 @@ def test_selftest_bad_weights_usage_error(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["selftest", "--weights", "nan,1"], "weights must be finite"),
+    (["selftest", "--xi", "inf"], "phi, xi must be finite"),
+    (["selftest", "--phi", "nan"], "phi, xi must be finite"),
     (["local-bound", "--eps", "nan"], "eps must be finite"),
     (["npa", "--eps", "nan"], "eps must be finite"),
     (["npa", "--eps", "inf"], "eps must be finite"),
@@ -237,29 +238,16 @@ def test_sweep_stdout_and_determinism(capsys):
     assert out_a == out_b  # byte-identical reruns
 
 
+@pytest.mark.parametrize("argv", list(oracles.CLI_STDOUT))
+def test_stdout_matches_frozen_bytes(argv, capsys):
+    code, out, err = run_cli(list(argv), capsys)
+    assert code == 0
+    assert out == oracles.CLI_STDOUT[argv]
+
+
 def test_sweep_rejects_bad_steps(capsys):
     code, out, err = run_cli(["sweep", "--steps", "0"], capsys)
     assert code == 2
-
-
-def test_csv_round_trip():
-    recs = sweep_epsilon([0.0, 0.03], starts=8)
-    text1 = sweep_to_csv(recs)
-    back = read_sweep_csv(text1)
-    assert len(back) == len(recs)
-    for orig, rt in zip(recs, back):
-        assert rt.level == orig.level
-        assert rt.status == orig.status
-        assert abs(rt.eps - orig.eps) < 1e-12
-        # 12 significant digits survive the trip
-        assert abs(rt.quantum_lower - orig.quantum_lower) < 1e-11
-    # writing what was read back reproduces the text byte for byte
-    assert sweep_to_csv(back) == text1
-
-
-def test_read_sweep_csv_rejects_bad_header():
-    with pytest.raises(ValueError):
-        read_sweep_csv("eps,foo\n0,1\n")
 
 
 def test_float_formatting_uses_12_significant_digits():

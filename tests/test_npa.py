@@ -149,13 +149,14 @@ def test_frozen_values_level2_grid():
         assert abs(val - ref) < 1e-6, (eps, val, ref)
 
 
-def test_level_monotonicity():
+def test_level_monotonicity(monkeypatch):
     # at default tolerance the contract allows 1e-6 slack
     vals = [npa_upper_bound(level, eps=0.0) for level in LEVELS]
     for lo, hi in zip(vals[1:], vals[:-1]):
         assert lo <= hi + 1e-6
     # solved tightly, the nesting shows up at the 1e-8 scale
-    tight = [npa_upper_bound(level, eps=0.05, tol=1e-9) for level in LEVELS]
+    monkeypatch.setattr(npa, "IPM_TOL", 1e-9)
+    tight = [npa_upper_bound(level, eps=0.05) for level in LEVELS]
     for lo, hi in zip(tight[1:], tight[:-1]):
         assert lo <= hi + 2e-8
 
@@ -205,12 +206,13 @@ def test_upper_bound_never_below_attainable_values():
     assert npa_upper_bound("2", eps=0.5) >= 1.0
 
 
-def test_early_stop_still_certifies():
+def test_early_stop_still_certifies(monkeypatch):
     # the weak-duality value bounds the relaxation from every dual iterate
     for eps, attainable in ((0.0, oracles.OPT_SCORE), (0.1, 0.2)):
         p = build_problem("2", eps=eps)
         for k in range(6):
-            sol = solve(p, max_iter=k)
+            monkeypatch.setattr(npa, "IPM_MAX_ITER", k)
+            sol = solve(p)
             assert sol.status == "MaxIter" and sol.iterations == k
             assert sol.value >= attainable
 
@@ -221,7 +223,7 @@ def test_tiny_eps_returns_a_bound_within_the_step_cap():
     t0 = time.perf_counter()
     sol = solve(build_problem("2", eps=1e-6))
     assert time.perf_counter() - t0 < 5.0
-    assert sol.iterations <= npa.DEFAULT_MAX_ITER
+    assert sol.iterations <= npa.IPM_MAX_ITER
     # the nonideal lower bound at eps = 1e-6
     assert sol.value >= 0.108504858880
 

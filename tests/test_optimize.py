@@ -1,4 +1,5 @@
-"""Tests for the multistart searches and the epsilon sweep."""
+"""Tests for the SLSQP minimizer, the multistart searches and the
+epsilon sweep."""
 
 import dataclasses
 import json
@@ -13,6 +14,7 @@ from cabello.optimize import (
     OptResult,
     SweepRecord,
     ansatz_stats,
+    minimize,
     optimize_hardy,
     optimize_ideal,
     optimize_nonideal,
@@ -31,6 +33,57 @@ from cabello.qubit import (
 from cabello.scenario import behavior_from_quantum, cabello_stats, local_max_score
 
 import oracles
+
+
+def test_minimize_quadratic_bowl():
+    r = minimize(lambda x: float(x @ x), lambda x: 2 * x, np.array([1.0, 1.0]),
+                 [(None, None)] * 2)
+    assert r.fun <= 1e-12
+    assert np.abs(r.x).max() < 1e-6
+    assert r.converged
+
+
+def test_minimize_shifted_parabola():
+    r = minimize(lambda x: float((x[0] - 3.0) ** 2),
+                 lambda x: np.array([2 * (x[0] - 3.0)]), np.array([0.0]),
+                 [(-10.0, 10.0)])
+    assert abs(r.x[0] - 3.0) < 1e-6
+    assert r.fun <= 1e-12
+    assert r.converged
+
+
+def test_minimize_active_inequality():
+    # min x^2 subject to x >= 1: the constraint is active at the optimum
+    r = minimize(lambda x: float(x[0] ** 2), lambda x: 2 * x, np.array([3.0]),
+                 [(None, None)], ineq=lambda x: np.array([x[0] - 1.0]),
+                 ineq_jac=lambda x: np.array([[1.0]]))
+    assert abs(r.x[0] - 1.0) < 1e-9
+    assert abs(r.fun - 1.0) < 1e-9
+    assert r.converged
+
+
+def test_minimize_iteration_cap_flag(monkeypatch):
+    # Rosenbrock needs far more than two SLSQP iterations from (-1.2, 1)
+    monkeypatch.setattr(optimize, "SLSQP_MAX_ITER", 2)
+    f = lambda x: float(100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2)
+    g = lambda x: np.array([-400 * x[0] * (x[1] - x[0] ** 2) - 2 * (1 - x[0]),
+                            200 * (x[1] - x[0] ** 2)])
+    r = minimize(f, g, np.array([-1.2, 1.0]), [(None, None)] * 2)
+    assert not r.converged
+    assert r.nevals > 0
+
+
+def test_minimize_bitwise_deterministic():
+    f = lambda x: float((x[0] - 1.2) ** 2 + (x[1] + 0.7) ** 4 + np.cos(x[0] * x[1]))
+    g = lambda x: np.array([2 * (x[0] - 1.2) - x[1] * np.sin(x[0] * x[1]),
+                            4 * (x[1] + 0.7) ** 3 - x[0] * np.sin(x[0] * x[1])])
+    x0 = np.array([0.1, 0.9])
+    bounds = [(-2.0, 2.0)] * 2
+    a = minimize(f, g, x0, bounds)
+    b = minimize(f, g, x0.copy(), bounds)
+    assert np.array_equal(a.x, b.x)
+    assert a.fun == b.fun
+    assert a.nevals == b.nevals
 
 
 @pytest.fixture(scope="module")
@@ -260,11 +313,12 @@ def test_sweep_rows_keep_bound_order_on_benchmark_grid():
 
 
 def test_sweep_flags_unconverged_and_inverted_upper(monkeypatch):
-    solve = npa.solve
-    monkeypatch.setattr(npa, "solve", lambda p: solve(p, max_iter=2))
-    (r,) = sweep_epsilon([0.1], starts=4)
+    with monkeypatch.context() as m:
+        m.setattr(npa, "IPM_MAX_ITER", 2)
+        (r,) = sweep_epsilon([0.1], starts=4)
     assert r.status == "error: npa MaxIter"
     assert r.quantum_upper >= r.quantum_lower  # still a certified bound
+    solve = npa.solve  # with the real step cap again
     monkeypatch.setattr(npa, "solve", lambda p: dataclasses.replace(
         solve(p), value=0.0))
     (r,) = sweep_epsilon([0.1], starts=4)

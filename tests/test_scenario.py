@@ -1,9 +1,9 @@
-"""Tests for behaviors, statistics, and the constrained local bound."""
+"""Tests for behaviors, statistics, the LP solver and the constrained
+local bound."""
 
 import numpy as np
 import pytest
 
-from cabello.mathcore import dagger
 from cabello.qubit import (
     ConstrainedStateParams,
     MeasurementParams,
@@ -14,16 +14,19 @@ from cabello.scenario import (
     Behavior,
     CabelloStats,
     DeterministicStrategy,
+    InfeasibleError,
     InvalidMeasurementError,
     InvalidStateError,
+    UnboundedError,
     behavior_from_quantum,
     cabello_stats,
     deterministic_behavior,
     enumerate_local_deterministic,
     local_max_score,
+    solve_lp,
 )
 
-from oracles import local_bound_oracle, random_local_unitary
+from oracles import local_bound_oracle, lp_vertex_oracle, random_local_unitary
 
 COMP = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
 
@@ -129,7 +132,7 @@ def _kron_reference(state, projA, projB):
 def _random_pair(rng, d):
     """Projector onto a random half of C^d and its complement."""
     u = random_local_unitary(rng, d)
-    half = u[:, : d // 2] @ dagger(u[:, : d // 2])
+    half = u[:, : d // 2] @ u[:, : d // 2].conj().T
     return half, np.eye(d) - half
 
 
@@ -228,6 +231,52 @@ def test_no_deterministic_strategy_wins_the_ideal_game():
         assert stats.score <= 0.0 or stats.e10 > 0.0 or stats.e01 > 0.0
 
 
+def test_solve_lp_single_variable():
+    value, x = solve_lp(np.array([1.0]), np.array([[1.0]]), np.array([1.0]))
+    assert abs(value - 1.0) < 1e-9
+    assert abs(x[0] - 1.0) < 1e-9
+
+
+def test_solve_lp_degenerate_face():
+    value, x = solve_lp(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
+    assert abs(value - 1.0) < 1e-9
+    assert x.min() >= -1e-9
+
+
+def test_solve_lp_infeasible():
+    # x <= -1 with x >= 0
+    with pytest.raises(InfeasibleError):
+        solve_lp(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
+
+
+def test_solve_lp_unbounded():
+    # maximize x with only x >= 0
+    with pytest.raises(UnboundedError):
+        solve_lp(np.array([1.0]), np.zeros((1, 1)), np.array([1.0]))
+
+
+def test_solve_lp_dimension_mismatch():
+    with pytest.raises(ValueError):
+        solve_lp(np.array([1.0, 2.0]), np.array([[1.0]]), np.array([1.0]))
+
+
+def test_solve_lp_matches_vertex_enumeration():
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(1, 5))
+        A = rng.uniform(-0.5, 1.5, size=(m, n))
+        A = np.vstack([A, np.ones((1, n))])  # keeps the region bounded
+        b = np.concatenate([rng.uniform(0.2, 2.0, size=m), [rng.uniform(0.5, 3.0)]])
+        c = rng.uniform(-1.0, 1.0, size=n)
+        value, x = solve_lp(c, A, b)
+        ref = lp_vertex_oracle(c, A, b)
+        assert ref is not None
+        assert abs(value - ref) < 1e-8
+        assert x.min() >= -1e-9
+        assert (A @ x - b).max() < 1e-9
+
+
 def test_local_bound_examples():
     assert abs(local_max_score(0.0)) < 1e-9
     assert abs(local_max_score(0.1) - 0.2) < 1e-9
@@ -267,7 +316,7 @@ def test_stats_invariant_under_local_unitaries():
         ub = random_local_unitary(rng, 2)
         u = np.kron(ua, ub)
         state2 = u @ state
-        pa2 = tuple((ua @ e0 @ dagger(ua), ua @ e1 @ dagger(ua)) for e0, e1 in pa)
-        pb2 = tuple((ub @ e0 @ dagger(ub), ub @ e1 @ dagger(ub)) for e0, e1 in pb)
+        pa2 = tuple((ua @ e0 @ ua.conj().T, ua @ e1 @ ua.conj().T) for e0, e1 in pa)
+        pb2 = tuple((ub @ e0 @ ub.conj().T, ub @ e1 @ ub.conj().T) for e0, e1 in pb)
         b2 = behavior_from_quantum(state2, pa2, pb2)
         assert np.abs(b2.p - base.p).max() < 1e-10
