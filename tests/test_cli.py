@@ -200,13 +200,13 @@ def test_selftest_bad_weights_usage_error(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["selftest", "--weights", "nan,1"], "weights must be finite"),
-    (["selftest", "--xi", "inf"], "phi, xi must be finite"),
-    (["selftest", "--phi", "nan"], "phi, xi must be finite"),
     (["local-bound", "--eps", "nan"], "eps must be finite"),
     (["npa", "--eps", "nan"], "eps must be finite"),
     (["npa", "--eps", "inf"], "eps must be finite"),
     (["sweep", "--eps-min", "nan", "--eps-max", "nan", "--steps", "1"],
      "grid values must lie in [0, 0.5]"),
+    (["selftest", "--xi", "inf"], "phi, xi must be finite"),
+    (["selftest", "--phi", "nan"], "phi, xi must be finite"),
 ])
 def test_non_finite_input_is_usage_error(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
