@@ -29,8 +29,9 @@ a diagonal entry <w^dag w> is at most the diagonal entry of w with its
 first letter dropped (the 2x2 minor on the two words, whose off-diagonal
 cell is the same class as the diagonal one), hence at most <1> = 1 by
 induction, and off-diagonal entries are bounded by Cauchy-Schwarz. A
-slack equals eps - <a1> + <a1 b0> (or its Bob twin), which lies in
-[0, 1 + eps], so u_k = 1 + eps for the slacks. The bound holds for any
+slack equals e - <a1> + <a1 b0> (or its Bob twin) for the right-hand
+side e = min(eps, 1) (see solve), which lies in [0, 1 + e], so
+u_k = 1 + e for the slacks. The bound holds for any
 dual iterate, converged or not, up to floating-point rounding.
 
 At eps = 0 the feasible set has empty interior: positive
@@ -393,16 +394,20 @@ def solve(p: NPAProblem) -> SDPSolution:
 
     eps = 0 takes the presolved route (see module docstring). The value
     is the weak-duality bound of the final dual iterate, valid also when
-    the status is not "Converged".
+    the status is not "Converged". The eps rows' right-hand side is
+    min(eps, 1): every level's moment matrix bounds each constrained
+    probability <x (1 - y)> by |x| |1 - y| <= 1, so for eps >= 1 the rows
+    are vacuous and the relaxation equals the one at eps = 1.
     """
     rel = _relaxation(p)
+    e = min(p.eps or 0.0, 1.0)
     # the reduced and eps = None problems keep only the normalization row
-    d = np.array([1.0, p.eps, p.eps]) if rel.slack.any() else np.ones(1)
+    d = np.array([1.0, e, e]) if rel.slack.any() else np.ones(1)
     y, lam, Z, pres, dres, it, status = _ipm(rel, d)
     w, V = np.linalg.eigh(Z)
     z_plus = (V * np.maximum(w, 0.0)) @ V.T
     r = rel.c - rel.A.T @ lam + rel.E.reshape(len(y), -1) @ z_plus.ravel()
-    u = 1.0 + (p.eps or 0.0) * rel.slack  # |y_k| <= u_k, see module docstring
+    u = 1.0 + e * rel.slack  # |y_k| <= u_k, see module docstring
     value = float(d @ lam + np.abs(r) @ u)
     return SDPSolution(value=value, moment_matrix=y[rel.lift], primal_residual=pres,
                        dual_residual=dres, iterations=it, status=status,

@@ -1,8 +1,8 @@
 """The 2-party / 2-setting / 2-outcome Bell scenario.
 
 Behaviors, the four distinguished Cabello probabilities, the 16-vertex
-local deterministic polytope, and the epsilon-constrained local bound
-with its LP solver.
+local deterministic polytope, and the epsilon-constrained local bound,
+solved exactly by enumerating the vertices of its three-row mixture LP.
 
 Outcome convention, used everywhere in the package: the outcome labels
 (+, -) map to array indices (0, 1). So p[x][y][0][1] is the probability
@@ -11,17 +11,16 @@ of Alice "+" and Bob "-" for settings (x, y).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 PLUS, MINUS = 0, 1
 
-LP_TOL = 1e-9  # primal and dual feasibility tolerance of the LP solver
-
+_LP_SLACK = 1e-12  # rounding slack on the weights and eps rows of an LP vertex
 _QUANTUM_TOL = 1e-10
 _BEHAVIOR_TOL = 1e-9
 
@@ -36,10 +35,6 @@ class InvalidMeasurementError(ValueError):
 
 class InfeasibleError(RuntimeError):
     """LP has no feasible point."""
-
-
-class UnboundedError(RuntimeError):
-    """LP objective is unbounded above on the feasible region."""
 
 
 @dataclass(frozen=True)
@@ -217,47 +212,82 @@ def _vertex_stats() -> np.ndarray:
     return rows
 
 
-_VERTICES = _vertex_stats()
+# the 7 distinct rows; a mixture LP needs each column once
+_VERTICES = np.unique(_vertex_stats(), axis=0)
 
 
-def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """Maximize c·x subject to A x <= b and x >= 0; returns (value, x).
+@functools.cache
+def _supports(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays for n columns: every pair (m, 2) and triple (m, 3) in
+    lexicographic order, and the support of every LP candidate as a row
+    of three indices: singles, pairs twice (one per eps row), triples.
+    Singles and pairs repeat their last index, with weight 0 there."""
+    pairs, triples = (np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+                      for k in (2, 3))
+    padded = pairs[:, [0, 1, 1]]
+    S = np.concatenate((np.arange(n).repeat(3).reshape(n, 3), padded, padded, triples))
+    for a in (pairs, triples, S):
+        a.setflags(write=False)  # shared by every call
+    return pairs, triples, S
 
-    Solved by HiGHS to the feasibility tolerance ``LP_TOL``. Raises
-    InfeasibleError or UnboundedError when the problem has no optimum;
-    any other solver failure surfaces as RuntimeError.
+
+def solve_lp(cols: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
+    """Best mixture of columns (score, e10, e01) with both e rows <= eps.
+
+    Maximizes sum_i w_i score_i subject to sum_i w_i = 1, w >= 0,
+    sum_i w_i e10_i <= eps and sum_i w_i e01_i <= eps; returns
+    (value, w). With three rows, every vertex of the feasible set has
+    at most three nonzero weights: one column, two with one eps row
+    tight, or three with both tight. All are enumerated in that order
+    (pairs against e10, then against e01), each in lexicographic order
+    of its support, and the first best candidate wins, so ties resolve
+    deterministically. A candidate counts as feasible within
+    ``_LP_SLACK``, which absorbs rounding only; the returned weights are
+    clipped to >= 0. Raises ValueError unless cols is a finite (n, 3)
+    array with n >= 1, and InfeasibleError when no mixture is feasible.
     """
-    res = scipy.optimize.linprog(
-        -np.asarray(c, dtype=float),
-        A_ub=A,
-        b_ub=b,
-        bounds=(0.0, None),
-        method="highs",
-        options={"primal_feasibility_tolerance": LP_TOL,
-                 "dual_feasibility_tolerance": LP_TOL},
-    )
-    if res.status == 2:
-        raise InfeasibleError(res.message)
-    if res.status == 3:
-        raise UnboundedError(res.message)
-    if not res.success:  # pragma: no cover - defensive
-        raise RuntimeError(f"LP solver failure: {res.message}")
-    return float(-res.fun), np.asarray(res.x, dtype=float)
+    cols = np.asarray(cols, dtype=float)
+    if cols.ndim != 2 or cols.shape[1] != 3 or not cols.size or not np.isfinite(cols).all():
+        raise ValueError(f"cols must be a finite (n, 3) array with n >= 1, got {cols.shape}")
+    n = len(cols)
+    pairs, triples, S = _supports(n)
+    # candidate weights over the supports S; NaN marks a singular system
+    weights = [np.eye(1, 3).repeat(n, axis=0)]
+    for r in (1, 2):  # pairs with eps row r tight: t r_i + (1 - t) r_j = eps
+        ri, rj = cols[pairs[:, 0], r], cols[pairs[:, 1], r]
+        den = ri - rj
+        t = np.divide(eps - rj, den, out=np.full(len(den), np.nan), where=den != 0)
+        weights.append(np.column_stack((t, 1.0 - t, np.zeros(len(t)))))
+    # triples with both rows tight: M w = (1, eps, eps) for M's columns a, b, c of
+    # (1, e10, e01); by Cramer's rule w = (b x c, c x a, a x b) (1, eps, eps) / det M
+    C = np.concatenate((np.ones((len(triples), 3, 1)), cols[triples, 1:]), axis=2)
+    P, Q = C[:, [1, 2, 0]], C[:, [2, 0, 1]]
+    X = P[..., [1, 2, 0]] * Q[..., [2, 0, 1]] - P[..., [2, 0, 1]] * Q[..., [1, 2, 0]]
+    det = np.einsum("kj,kj->k", C[:, 0], X[:, 0])[:, None]
+    weights.append(np.divide(X @ np.array([1.0, eps, eps]), det,
+                             out=np.full((len(det), 3), np.nan), where=det != 0))
+    W = np.concatenate(weights)
+    # NaN weights fail the test, so singular systems drop out here
+    ok = np.flatnonzero((W >= -_LP_SLACK).all(axis=1))
+    mix = np.einsum("kj,kjr->kr", W[ok], cols[S[ok]])  # (score, e10, e01) per candidate
+    feasible = (mix[:, 1:] <= eps + _LP_SLACK).all(axis=1)
+    if not feasible.any():
+        raise InfeasibleError(f"no mixture of the {n} columns meets eps = {eps}")
+    k = np.argmax(np.where(feasible, mix[:, 0], -np.inf))
+    w = np.zeros(n)
+    np.add.at(w, S[ok[k]], np.maximum(W[ok[k]], 0.0))
+    return float(mix[k, 0]), w
 
 
 def local_max_score(eps: float) -> float:
     """Exact LP optimum of p - q over the eps-constrained local polytope.
 
-    Mixture weights over the 16 deterministic vertices, subject to
-    e10 <= eps, e01 <= eps. Always feasible (the all-"+" strategy has
-    e10 = e01 = 0), so the LP has an optimum for every eps >= 0.
+    The best mixture of the deterministic vertices subject to
+    e10 <= eps, e01 <= eps, found by ``solve_lp``. Always feasible (the
+    all-"+" strategy has e10 = e01 = 0), so there is an optimum for
+    every eps >= 0.
     """
     if not 0.0 <= eps < np.inf:
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
-    score, e10, e01 = _VERTICES.T
-    ones = np.ones(16)
-    # normalization written as a pair of <= rows, since solve_lp takes inequalities only
-    A = np.vstack([ones, -ones, e10, e01])
-    b = np.array([1.0, -1.0, eps, eps])
-    value, _ = solve_lp(score, A, b)
+    value, _ = solve_lp(_VERTICES, eps)
     return value + 0.0  # normalize -0.0

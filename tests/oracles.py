@@ -70,6 +70,12 @@ CLI_STDOUT = {
     ("npa", "--level", "2", "--eps", "0.05"): "0.303807130303\n",
     ("npa", "--level", "3", "--eps", "0"): "0.107812720805\n",
     ("npa", "--level", "3", "--eps", "0.05"): "0.303807144438\n",
+    ("local-bound", "--eps", "0"): "0\n",
+    ("local-bound", "--eps", "0.07"): "0.14\n",
+    ("local-bound", "--eps", "0.3"): "0.6\n",
+    ("local-bound", "--eps", "0.5"): "1\n",
+    ("local-bound", "--eps", "0.6"): "1\n",
+    ("local-bound", "--eps", "1e300"): "1\n",
 }
 
 

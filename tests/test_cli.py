@@ -178,6 +178,15 @@ def test_npa_verb(capsys):
     assert "gap=" in err
 
 
+@pytest.mark.parametrize("eps", ["1e20", "1e300"])
+def test_npa_eps_above_one_gives_the_eps_one_bound(eps, capsys):
+    # the eps rows are vacuous from eps = 1 on; warnings are errors in this suite
+    code, out, err = run_cli(["npa", "--level", "2", "--eps", eps], capsys)
+    assert code == 0
+    assert "status=Converged" in err
+    assert out == "1.00000001189\n"
+
+
 def test_hardy_verb(capsys):
     code, out, err = run_cli(["hardy", "--starts", "16"], capsys)
     assert code == 0

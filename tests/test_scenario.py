@@ -17,7 +17,6 @@ from cabello.scenario import (
     InfeasibleError,
     InvalidMeasurementError,
     InvalidStateError,
-    UnboundedError,
     behavior_from_quantum,
     cabello_stats,
     deterministic_behavior,
@@ -231,56 +230,68 @@ def test_no_deterministic_strategy_wins_the_ideal_game():
         assert stats.score <= 0.0 or stats.e10 > 0.0 or stats.e01 > 0.0
 
 
+def _local_columns():
+    """(score, e10, e01) of the 16 deterministic strategies, in enumeration order."""
+    stats = [cabello_stats(b) for _, b in enumerate_local_deterministic()]
+    return np.array([(st.score, st.e10, st.e01) for st in stats])
+
+
 def test_solve_lp_single_variable():
-    value, x = solve_lp(np.array([1.0]), np.array([[1.0]]), np.array([1.0]))
-    assert abs(value - 1.0) < 1e-9
-    assert abs(x[0] - 1.0) < 1e-9
+    value, w = solve_lp(np.array([[0.5, 0.1, 0.2]]), 0.2)
+    assert value == 0.5
+    assert w.tolist() == [1.0]
 
 
 def test_solve_lp_degenerate_face():
-    value, x = solve_lp(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
-    assert abs(value - 1.0) < 1e-9
-    assert x.min() >= -1e-9
+    # two identical columns: every split is optimal, the first support wins
+    value, w = solve_lp(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), 0.0)
+    assert value == 1.0
+    assert w.tolist() == [1.0, 0.0]
 
 
 def test_solve_lp_infeasible():
-    # x <= -1 with x >= 0
     with pytest.raises(InfeasibleError):
-        solve_lp(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
-
-
-def test_solve_lp_unbounded():
-    # maximize x with only x >= 0
-    with pytest.raises(UnboundedError):
-        solve_lp(np.array([1.0]), np.zeros((1, 1)), np.array([1.0]))
+        solve_lp(np.array([[1.0, 0.5, 0.0], [0.0, 0.2, 0.3]]), 0.1)
 
 
 def test_solve_lp_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_lp(np.array([1.0, 2.0]), np.array([[1.0]]), np.array([1.0]))
+    for cols in (np.zeros(3), np.zeros((2, 2)), np.zeros((0, 3)), np.array([[np.nan, 0.0, 0.0]])):
+        with pytest.raises(ValueError):
+            solve_lp(cols, 0.1)
 
 
 def test_solve_lp_matches_vertex_enumeration():
     rng = np.random.default_rng(41)
+    infeasible = 0
     for _ in range(100):
-        n = int(rng.integers(2, 5))
-        m = int(rng.integers(1, 5))
-        A = rng.uniform(-0.5, 1.5, size=(m, n))
-        A = np.vstack([A, np.ones((1, n))])  # keeps the region bounded
-        b = np.concatenate([rng.uniform(0.2, 2.0, size=m), [rng.uniform(0.5, 3.0)]])
-        c = rng.uniform(-1.0, 1.0, size=n)
-        value, x = solve_lp(c, A, b)
-        ref = lp_vertex_oracle(c, A, b)
-        assert ref is not None
-        assert abs(value - ref) < 1e-8
-        assert x.min() >= -1e-9
-        assert (A @ x - b).max() < 1e-9
+        n = int(rng.integers(2, 9))
+        eps = float(rng.uniform(0.0, 0.6))
+        cols = np.column_stack((rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, (n, 2))))
+        ones = np.ones(n)
+        ref = lp_vertex_oracle(cols[:, 0], np.vstack([ones, -ones, cols[:, 1], cols[:, 2]]),
+                               np.array([1.0, -1.0, eps, eps]))
+        if ref is None:
+            infeasible += 1
+            with pytest.raises(InfeasibleError):
+                solve_lp(cols, eps)
+            continue
+        value, w = solve_lp(cols, eps)
+        assert abs(value - ref) < 1e-12
+        assert w.min() >= 0.0 and np.count_nonzero(w) <= 3
+        assert abs(w.sum() - 1.0) < 1e-12
+        assert (w @ cols[:, 1:]).max() <= eps + 1e-12
+    assert 0 < infeasible < 100  # both branches ran
 
 
 def test_local_bound_examples():
     assert abs(local_max_score(0.0)) < 1e-9
     assert abs(local_max_score(0.1) - 0.2) < 1e-9
     assert abs(local_max_score(0.05) - 0.1) < 1e-9
+
+
+def test_local_bound_is_exactly_min_of_two_eps_and_one():
+    for eps in [*np.linspace(0.0, 0.6, 1201), 1e-300]:
+        assert local_max_score(float(eps)) == min(2.0 * eps, 1.0), eps
 
 
 def test_local_bound_matches_vertex_oracle():
@@ -297,11 +308,16 @@ def test_local_bound_monotone_and_capped():
 
 
 def test_local_bound_attained_by_three_vertex_mixture():
-    # the LP optimum must be reachable with support size <= 3
-    # (16 weights, at most 3 binding rows); verify at a generic eps by
-    # exhibiting such a mixture explicitly through the oracle
+    # 16 weights and three rows (normalization, two eps rows): the
+    # optimum is a mixture of at most three deterministic strategies
     eps = 0.07
-    assert abs(local_bound_oracle(eps) - local_max_score(eps)) < 1e-9
+    cols = _local_columns()
+    value, w = solve_lp(cols, eps)
+    assert value == local_max_score(eps)
+    assert np.count_nonzero(w) <= 3 and w.min() >= 0.0
+    assert abs(w.sum() - 1.0) <= 1e-15
+    assert (w @ cols[:, 1:]).max() <= eps + 1e-15
+    assert abs(w @ cols[:, 0] - value) <= 1e-15
 
 
 def test_stats_invariant_under_local_unitaries():
