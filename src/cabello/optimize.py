@@ -7,12 +7,13 @@ with the extra zero constraint. Phases are fixed to phi = xi = 0: the
 score depends on the three phases only through their sum, so freeing
 them adds flat directions and nothing else.
 
-Each search runs one SLSQP descent per start (``minimize``, stopped by
-``SLSQP_TOL`` and ``SLSQP_MAX_ITER``) with hand-written gradients of
-its closed forms. Every chart keeps its equality structure exact
-(normalization, and for Hardy the zero constraint), so only box bounds
-and, for the nonideal search, the two eps inequalities reach the
-solver.
+Each search runs one SQP descent per start (``minimize``, stopped by
+``SQP_TOL`` and ``SQP_MAX_ITER``) on one callable that returns the
+value of its closed form together with the hand-written gradient. Every
+chart keeps its structure exact: normalization, for Hardy the zero
+constraint, and the box of every bounded angle (``_angle`` maps every
+real u into [_EDGE, pi - _EDGE]). So only the two eps rows of the
+nonideal search reach the solver as constraints.
 
 Every start draws its own generator from the master seed and a counter,
 and results merge by maximal score with lexicographic parameter
@@ -21,14 +22,15 @@ tie-break, so a run is a deterministic function of its arguments.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
-from math import acos, atan2, cos, pi, sin, sqrt, tan
+from math import acos, atan2, copysign, cos, pi, sin, sqrt, tan
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from . import npa
 from .qubit import (ConstrainedStateParams, MeasurementParams, analytic_optimum,
@@ -41,10 +43,11 @@ SQRT2 = sqrt(2.0)
 DEFAULT_STARTS = 64
 DEFAULT_SEED = 0
 
-SLSQP_TOL = 1e-12     # ftol of every descent
-SLSQP_MAX_ITER = 200  # iteration cap of every descent
+SQP_TOL = 1e-12     # stopping tolerance of every descent
+SQP_MAX_ITER = 200  # iteration cap of every descent
 
 _EDGE = 1e-9          # open-interval guard for the polar angles
+_HALF_SPAN = pi / 2 - _EDGE  # ``_angle`` spans pi/2 -+ _HALF_SPAN
 _BOUND_SLACK = 1e-12  # rounding allowed when comparing bounds of a sweep row
 
 
@@ -96,46 +99,191 @@ def _best(cands):
 class MinimizeResult:
     """End point of ``minimize``.
 
-    ``nevals`` counts objective plus gradient evaluations. ``converged``
-    is the solver's success flag; when it is False (for instance, the
-    iteration cap was reached) the last iterate is still returned.
+    ``nevals`` counts calls of the value-and-gradient callable and
+    ``nit`` the subproblems solved. ``converged`` says that the stopping
+    test held; when it is False (no descent was left, the linearized
+    constraints were inconsistent, or ``nit`` reached ``SQP_MAX_ITER``)
+    the last iterate is still returned.
     """
 
-    x: np.ndarray
+    x: tuple[float, ...]
     fun: float
     nevals: int
     converged: bool
+    nit: int
+
+
+# the nonempty active sets ``_qp_step`` tries, in order, per number of rows
+_ACTIVE_SETS = {1: ((0,),), 2: ((0,), (1,), (0, 1))}
+
+
+def _solve_active(M, W, r):
+    """x with M_WW x = r on the rows W of the Gram matrix M, by
+    elimination; None when M_WW is not positive definite."""
+    if len(W) == 1:
+        m = M[W[0]][W[0]]
+        return [r[0] / m] if m > 0.0 else None
+    (m00, m01), (m10, m11) = M
+    if not m00 > 0.0:
+        return None
+    piv = m11 - m10 / m00 * m01
+    if not piv > 0.0:
+        return None
+    x1 = (r[1] - m10 / m00 * r[0]) / piv
+    return [(r[0] - m01 * x1) / m00, x1]
+
+
+def _qp_step(H, g, c, A):
+    """Step d and multipliers lam of the SQP subproblem, or None.
+
+    Minimizes d'Bd / 2 + g'd subject to c_i + A_i d >= 0 for at most
+    two rows, where B is the inverse of the positive definite H. The
+    subproblem is strictly convex, so the first active set W among
+    {}, {1}, {2}, {1, 2} whose minimizer on c_W + A_W d = 0,
+    d = H(A_W' lam - g), has lam >= 0 and meets the other row is its
+    solution. The choice needs only the Gram matrix M = A H A' and the
+    residuals r = c + A d0 of the unconstrained step d0 = -H g. The
+    multipliers of W are then refined once from the residual at d, so
+    that c_W + A_W d vanishes to rounding in d even where H is large.
+    None means that no active set qualifies: the linearized rows are
+    inconsistent.
+    """
+    d = [-sum(map(mul, row, g)) for row in H]
+    HA = [[sum(map(mul, row, a)) for row in H] for a in A]
+    M = [[sum(map(mul, a, h)) for h in HA] for a in A]
+    r = [ci + sum(map(mul, a, d)) for ci, a in zip(c, A)]
+    lam = [0.0] * len(c)
+    if min(r, default=0.0) >= 0.0:  # W = {}: d0 meets every row
+        return d, lam
+    for W in _ACTIVE_SETS[len(c)]:
+        step = _solve_active(M, W, [-r[i] for i in W])
+        if step is None or min(step) < 0.0:
+            continue
+        # c_j + A_j d of the row left out, if any; then W holds one row
+        if all(r[j] + M[j][W[0]] * step[0] >= 0.0 for j in range(len(c)) if j not in W):
+            break
+    else:
+        return None
+    for refine in (False, True):
+        if refine:
+            step = _solve_active(M, W, [-c[i] - sum(map(mul, A[i], d)) for i in W])
+        for i, li in zip(W, step):
+            lam[i] += li
+            d = [dj + li * hj for dj, hj in zip(d, HA[i])]
+    return d, lam
+
+
+def _lagrangian_grad(g, A, lam):
+    """g - A' lam, the gradient of f - lam'c."""
+    for li, ai in zip(lam, A):
+        if li:
+            g = [gj - li * aj for gj, aj in zip(g, ai)]
+    return g
 
 
 def minimize(
-    f: Callable[[np.ndarray], float],
-    jac: Callable[[np.ndarray], np.ndarray],
+    fun: Callable[[list[float]], tuple[float, Sequence[float]]],
     x0: Sequence[float],
-    bounds: Sequence[tuple[float | None, float | None]],
-    ineq: Callable[[np.ndarray], np.ndarray] | None = None,
-    ineq_jac: Callable[[np.ndarray], np.ndarray] | None = None,
+    cons: Callable[[list[float]], tuple[Sequence[float], Sequence[Sequence[float]]]]
+    | None = None,
 ) -> MinimizeResult:
-    """SLSQP descent from x0 subject to box ``bounds`` and ``ineq(x) >= 0``.
+    """SQP descent from x0 on ``fun`` subject to ``cons(x) >= 0``.
 
-    ``jac`` is the gradient of ``f`` and ``ineq_jac`` the Jacobian of
-    ``ineq`` (one row per constraint); both are used as given, with no
-    finite differences. The run is a deterministic function of the
-    arguments. The end point may violate ``ineq`` by rounding, so a
-    caller that needs exact feasibility restores it itself.
+    ``fun(x)`` returns the value and the gradient at x; ``cons(x)``
+    returns the values of at most two constraints and their gradient
+    rows. Both are used as given, with no finite differences. This is
+    the method of SLSQP (Kraft, DFVLR-FB 88-28, 1988) on Python floats,
+    cut down to these sizes:
+
+    - the inverse H of a BFGS approximation to the Hessian of the
+      Lagrangian, starting at the identity and updated with Powell's
+      damping (Lecture Notes in Math. 630, 1978), so that it stays
+      positive definite;
+    - the step of the quadratic subproblem in closed form
+      (``_qp_step``);
+    - backtracking on the l1 merit function f + sum_i rho_i max(0, -c_i),
+      with SLSQP's penalty update rho_i = max(|lam_i|, (rho_i + |lam_i|)/2),
+      Armijo factor 0.1, safeguarded quadratic interpolation and at
+      most ten trial points.
+
+    It stops converged when the predicted decrease |g'd| + sum_i |lam_i c_i|
+    and the violation sum_i max(0, -c_i) are both below ``SQP_TOL``, or
+    when a step changes f or moves x by less than ``SQP_TOL`` and leaves
+    a violation below ``SQP_TOL``. It stops unconverged when no descent
+    is left (the merit function does not decrease along d, or not
+    enough within ten trial points), when the subproblem is
+    inconsistent, or after ``SQP_MAX_ITER`` iterations. The run is a
+    deterministic function of its arguments. The end point may violate
+    ``cons`` by rounding, so a caller that needs exact feasibility
+    restores it itself.
     """
-    cons = [] if ineq is None else [{"type": "ineq", "fun": ineq, "jac": ineq_jac}]
-    res = scipy.optimize.minimize(
-        f,
-        np.asarray(x0, dtype=float),
-        jac=jac,
-        method="SLSQP",
-        bounds=bounds,
-        constraints=cons,
-        options={"ftol": SLSQP_TOL, "maxiter": SLSQP_MAX_ITER},
-    )
-    return MinimizeResult(x=np.asarray(res.x, dtype=float), fun=float(res.fun),
-                          nevals=int(res.nfev) + int(res.njev),
-                          converged=bool(res.success))
+    x = [float(v) for v in x0]
+    n = len(x)
+    no_rows = ((), ())
+    f, g = fun(x)
+    c, A = cons(x) if cons is not None else no_rows
+    nevals, nit = 1, 0
+    H = [[float(i == j) for j in range(n)] for i in range(n)]
+    rho = [0.0] * len(c)
+    while nit < SQP_MAX_ITER:
+        nit += 1
+        qp = _qp_step(H, g, c, A)
+        if qp is None:
+            break
+        d, lam = qp
+        gd = sum(map(mul, g, d))
+        viol = [max(0.0, -ci) for ci in c]
+        if (abs(gd) + sum(abs(li * ci) for li, ci in zip(lam, c)) < SQP_TOL
+                and sum(viol) < SQP_TOL):
+            return MinimizeResult(tuple(x), f, nevals, True, nit)
+        rho = [max(abs(li), (ri + abs(li)) / 2) for ri, li in zip(rho, lam)]
+        penalty = sum(map(mul, rho, viol))
+        merit, slope = f + penalty, gd - penalty  # slope: of the merit along d
+        t = 1.0
+        for _ in range(10 if slope < 0.0 else 0):
+            xt = [xi + t * di for xi, di in zip(x, d)]
+            ft, gt = fun(xt)
+            ct, At = cons(xt) if cons is not None else no_rows
+            nevals += 1
+            drop = ft + sum(ri * max(0.0, -ci) for ri, ci in zip(rho, ct)) - merit
+            if drop <= 0.1 * t * slope:
+                break
+            t *= max(t * slope / (2.0 * (t * slope - drop)), 0.1)
+        else:
+            break  # no descent left along d
+        s = [t * di for di in d]
+        if ((abs(ft - f) < SQP_TOL or math.hypot(*s) < SQP_TOL)
+                and sum(max(0.0, -ci) for ci in ct) < SQP_TOL):
+            return MinimizeResult(tuple(xt), ft, nevals, True, nit)
+        # secant pair of the Lagrangian at fixed multipliers; B s = t B d
+        gl = _lagrangian_grad(g, A, lam)
+        y = [a - b for a, b in zip(_lagrangian_grad(gt, At, lam), gl)]
+        Bs = [-t * v for v in gl]
+        sBs, sy = sum(map(mul, s, Bs)), sum(map(mul, s, y))
+        if sy < 0.2 * sBs:  # Powell's damping
+            theta = 0.8 * sBs / (sBs - sy)
+            y = [theta * yj + (1.0 - theta) * bj for yj, bj in zip(y, Bs)]
+            sy = 0.2 * sBs
+        if sy > 0.0:  # H + k s s' - (Hy s' + s y'H) / sy
+            q = [sum(map(mul, row, y)) / sy for row in H]
+            k = (1.0 + sum(map(mul, y, q))) / sy
+            u = [k * sj - qj for sj, qj in zip(s, q)]
+            H = [[hij + si * uj - qi * sj for hij, uj, sj in zip(row, u, s)]
+                 for row, si, qi in zip(H, s, q)]
+        x, f, g, c, A = xt, ft, gt, ct, At
+    return MinimizeResult(tuple(x), f, nevals, False, nit)
+
+
+# -- charts -------------------------------------------------------------
+
+def _angle(u: float) -> float:
+    """Polar-angle chart: pi/2 - (pi/2 - _EDGE) cos u, in [_EDGE, pi - _EDGE]."""
+    return pi / 2 - _HALF_SPAN * cos(u)
+
+
+def _angle_inverse(a: float) -> float:
+    """The u in [0, pi] that ``_angle`` maps to a."""
+    return acos((pi / 2 - a) / _HALF_SPAN)
 
 
 # -- ideal problem ------------------------------------------------------
@@ -167,20 +315,22 @@ def _family_terms(a: float, b: float):
     return (P, Q, S), d_a, d_b
 
 
-def _ideal_neg(x) -> float:
-    a, b, t, d = x
-    (P, Q, S), _, _ = _family_terms(a, b)
-    return -(cos(t) ** 2 * P + sin(t) ** 2 * Q - sin(2 * t) * S * cos(d))
+def _ideal_t(w: float) -> float:
+    """Chart of t in [0, pi/2]: (pi/4)(1 - cos w)."""
+    return pi / 4 * (1.0 - cos(w))
 
 
-def _ideal_neg_grad(x) -> np.ndarray:
-    a, b, t, d = x
-    (P, Q, S), d_a, d_b = _family_terms(a, b)
+def _ideal_neg(x):
+    """Minus the family score and its gradient in the chart (u_a, u_b, w, delta)."""
+    ua, ub, w, d = x
+    t = _ideal_t(w)
+    (P, Q, S), d_a, d_b = _family_terms(_angle(ua), _angle(ub))
     c2, s2, st, cd = cos(t) ** 2, sin(t) ** 2, sin(2 * t), cos(d)
-    return -np.array([c2 * d_a[0] + s2 * d_a[1] - st * cd * d_a[2],
-                      c2 * d_b[0] + s2 * d_b[1] - st * cd * d_b[2],
-                      st * (Q - P) - 2.0 * cos(2 * t) * S * cd,
-                      st * S * sin(d)])
+    return (-(c2 * P + s2 * Q - st * S * cd),
+            [-(c2 * d_a[0] + s2 * d_a[1] - st * cd * d_a[2]) * _HALF_SPAN * sin(ua),
+             -(c2 * d_b[0] + s2 * d_b[1] - st * cd * d_b[2]) * _HALF_SPAN * sin(ub),
+             -(st * (Q - P) - 2.0 * cos(2 * t) * S * cd) * pi / 4 * sin(w),
+             -st * S * sin(d)])
 
 
 def _ceiling_w(a: float, b: float) -> float:
@@ -191,18 +341,19 @@ def _ceiling_w(a: float, b: float) -> float:
 def optimize_ideal(starts: int = DEFAULT_STARTS, seed: int = DEFAULT_SEED) -> OptResult:
     """Maximize the closed-form score over (alpha, beta, c, delta).
 
-    Searches the chart (alpha, beta, t, delta) with
+    Searches the chart (u_a, u_b, w, delta) with alpha = ``_angle(u_a)``,
+    beta = ``_angle(u_b)``, t = (pi/4)(1 - cos w) and
     c = sin t / sqrt(1 + tan^2(alpha/2) + tan^2(beta/2)), in which every
-    point is normalizable, by one box-bounded SLSQP descent per start
-    with the analytic gradient. Each start draws alpha, beta and delta
-    uniformly and t = asin(u), so that c is the fraction u of its
-    ceiling. The reported score is ``closed_form_score`` at the reported
-    parameters. With a few dozen starts the best point matches the
-    analytic optimum to well below 1e-7.
+    point is normalizable, by one SQP descent per start with the
+    analytic gradient. Each start draws alpha, beta and delta uniformly
+    and t = asin(u), so that c is the fraction u of its ceiling, and
+    maps them into the chart. The reported score is
+    ``closed_form_score`` at the reported parameters. With a few dozen
+    starts the best point matches the analytic optimum to well below
+    1e-7.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    bounds = [(_EDGE, pi - _EDGE)] * 2 + [(0.0, pi / 2), (None, None)]
     cands = []
     for k in range(starts):
         rng = np.random.default_rng([seed, k])
@@ -210,8 +361,10 @@ def optimize_ideal(starts: int = DEFAULT_STARTS, seed: int = DEFAULT_SEED) -> Op
         b = rng.uniform(0.2, pi - 0.2)
         t = math.asin(rng.uniform(0.1, 0.95))
         d = rng.uniform(0.0, TWO_PI)
-        res = minimize(_ideal_neg, _ideal_neg_grad, [a, b, t, d], bounds)
-        a, b, t, d = res.x
+        res = minimize(_ideal_neg, [_angle_inverse(a), _angle_inverse(b),
+                                    acos(1.0 - 4.0 * t / pi), d])
+        ua, ub, w, d = res.x
+        a, b, t = _angle(ua), _angle(ub), _ideal_t(w)
         c, d = sin(t) / sqrt(_ceiling_w(a, b)), d % TWO_PI
         score = closed_form_score(ConstrainedStateParams(
             c=c, delta=d, meas=MeasurementParams(alpha=a, beta=b)))
@@ -225,8 +378,21 @@ def optimize_ideal(starts: int = DEFAULT_STARTS, seed: int = DEFAULT_SEED) -> Op
 # -- nonideal problem ---------------------------------------------------
 
 def _chart(t1: float, t2: float) -> tuple[float, float, float]:
-    """Angles to ansatz amplitudes; normalization holds identically."""
-    return cos(t1), sin(t1) * cos(t2) / SQRT2, sin(t1) * sin(t2)
+    """Angles to ansatz amplitudes (s00, s01, s11); normalization holds
+    identically.
+
+    Polar coordinates about the s11 axis: s11 = cos t1 and
+    (s00, sqrt2 s01) = sin t1 (cos t2, sin t2). The poles, where t2
+    degenerates, are the states +-|11>, away from the optima and from
+    the near-local valleys around +-|00>, in which descents in polar
+    coordinates about the s00 axis crawl along t2.
+    """
+    return sin(t1) * cos(t2), sin(t1) * sin(t2) / SQRT2, cos(t1)
+
+
+def _chart_inverse(s00: float, s01: float, s11: float) -> tuple[float, float]:
+    """The angles (t1, t2) that ``_chart`` maps to unit-norm amplitudes."""
+    return acos(s11), atan2(SQRT2 * s01, s00)
 
 
 def ansatz_stats(a: float, b: float, s00: float, s01: float,
@@ -241,46 +407,51 @@ def ansatz_stats(a: float, b: float, s00: float, s01: float,
     return q, p, e10, e01
 
 
-def _nonideal_neg(x) -> float:
-    a, b, t1, t2 = x
-    q, p, _, _ = ansatz_stats(a, b, *_chart(t1, t2))
-    return q - p
+def _ansatz_terms(x):
+    """Shared factors of the nonideal callables at x = (u_a, u_b, t1, t2):
+    the amplitudes, their partials along t1 and t2, and the half-angle
+    cosines and sines of alpha and beta with their rates along u."""
+    ua, ub, t1, t2 = x
+    a, b = _angle(ua), _angle(ub)
+    c1, s1, c2, s2 = cos(t1), sin(t1), cos(t2), sin(t2)
+    amps = (s1 * c2, s1 * s2 / SQRT2, c1)
+    d_t1 = (c1 * c2, c1 * s2 / SQRT2, -s1)
+    d_t2 = (-s1 * s2, s1 * c2 / SQRT2, 0.0)
+    half = (cos(a / 2), sin(a / 2), cos(b / 2), sin(b / 2))
+    rate = (_HALF_SPAN * sin(ua) / 2, _HALF_SPAN * sin(ub) / 2)  # d(angle/2)/du
+    return amps, d_t1, d_t2, half, rate
 
 
-def _chart_jac(t1: float, t2: float) -> np.ndarray:
-    """Partials of the chart amplitudes (s00, s01, s11): rows t1, t2."""
-    return np.array([[-sin(t1), cos(t1) * cos(t2) / SQRT2, cos(t1) * sin(t2)],
-                     [0.0, -sin(t1) * sin(t2) / SQRT2, sin(t1) * cos(t2)]])
-
-
-def _nonideal_neg_grad(x) -> np.ndarray:
-    """Gradient of q - p from ``ansatz_stats``, p = lin^2 with lin linear
-    in the amplitudes."""
-    a, b, t1, t2 = x
-    s00, s01, s11 = _chart(t1, t2)
-    ca, sa = cos(a / 2), sin(a / 2)
-    cb, sb = cos(b / 2), sin(b / 2)
+def _nonideal_neg(x):
+    """q - p from ``ansatz_stats`` and its gradient in the chart
+    (u_a, u_b, t1, t2); p = lin^2 with lin linear in the amplitudes."""
+    (s00, s01, s11), d_t1, d_t2, (ca, sa, cb, sb), (ra, rb) = _ansatz_terms(x)
     lin = ca * cb * s00 + (ca * sb + sa * cb) * s01 + sa * sb * s11
-    lin_a = (-sa * cb * s00 + (ca * cb - sa * sb) * s01 + ca * sb * s11) / 2
-    lin_b = (-ca * sb * s00 + (ca * cb - sa * sb) * s01 + sa * cb * s11) / 2
-    d_s = np.array([2 * s00 - 2 * lin * ca * cb,
-                    -2 * lin * (ca * sb + sa * cb),
-                    -2 * lin * sa * sb])
-    return np.concatenate([[-2 * lin * lin_a, -2 * lin * lin_b],
-                           _chart_jac(t1, t2) @ d_s])
+    lin_a = (-sa * cb * s00 + (ca * cb - sa * sb) * s01 + ca * sb * s11) * ra
+    lin_b = (-ca * sb * s00 + (ca * cb - sa * sb) * s01 + sa * cb * s11) * rb
+    d_s = (2 * s00 - 2 * lin * ca * cb, -2 * lin * (ca * sb + sa * cb),
+           -2 * lin * sa * sb)
+    return (s00 * s00 - lin * lin,
+            [-2 * lin * lin_a, -2 * lin * lin_b,
+             sum(map(mul, d_t1, d_s)), sum(map(mul, d_t2, d_s))])
 
 
-def _slack_jac(x) -> np.ndarray:
-    """Jacobian of (-e10, -e01) from ``ansatz_stats``; rows e10, e01."""
-    a, b, t1, t2 = x
-    s00, s01, s11 = _chart(t1, t2)
-    ca, sa = cos(a / 2), sin(a / 2)
-    cb, sb = cos(b / 2), sin(b / 2)
+def _eps_rows(r: float, x):
+    """The eps constraints as r - |m10| >= 0 and r - |m01| >= 0, r = sqrt(eps),
+    with their gradient rows in the chart (u_a, u_b, t1, t2).
+
+    e10 = m10^2 and e01 = m01^2 with m10 = cos(a/2) s01 + sin(a/2) s11
+    and m01 the same with b. Unlike the rows eps - m^2, whose gradient
+    vanishes with m as eps -> 0+, these keep a gradient of order one.
+    """
+    (_, s01, s11), d_t1, d_t2, (ca, sa, cb, sb), (ra, rb) = _ansatz_terms(x)
     m10, m01 = ca * s01 + sa * s11, cb * s01 + sb * s11
-    jt = _chart_jac(t1, t2)
-    return -2 * np.array([
-        [m10 * (ca * s11 - sa * s01) / 2, 0.0, *(m10 * (jt @ (0.0, ca, sa)))],
-        [0.0, m01 * (cb * s11 - sb * s01) / 2, *(m01 * (jt @ (0.0, cb, sb)))]])
+    k10, k01 = -copysign(1.0, m10), -copysign(1.0, m01)
+    return ((r - abs(m10), r - abs(m01)),
+            ([k10 * (ca * s11 - sa * s01) * ra, 0.0,
+              k10 * (ca * d_t1[1] + sa * d_t1[2]), k10 * (ca * d_t2[1] + sa * d_t2[2])],
+             [0.0, k01 * (cb * s11 - sb * s01) * rb,
+              k01 * (cb * d_t1[1] + sb * d_t1[2]), k01 * (cb * d_t2[1] + sb * d_t2[2])]))
 
 
 def _polish(a: float, b: float, t1: float, t2: float,
@@ -332,23 +503,24 @@ def _ideal_to_ansatz(res: OptResult) -> OptResult:
                      starts_used=res.starts_used, converged=res.converged)
 
 
-def _analytic_seed() -> np.ndarray:
-    """The eps = 0 optimum in chart coordinates (a, b, t1, t2)."""
+def _analytic_seed() -> tuple[float, float, float, float]:
+    """The eps = 0 optimum as angles (alpha, beta, t1, t2)."""
     opt = analytic_optimum()
     s00, s01, s11 = _ideal_amplitudes(opt.alpha, opt.c)
-    return np.array([opt.alpha, opt.alpha, acos(s00), atan2(s11, SQRT2 * s01)])
+    return (opt.alpha, opt.alpha, *_chart_inverse(s00, s01, s11))
 
 
 def optimize_nonideal(eps: float, starts: int = DEFAULT_STARTS,
                       seed: int = DEFAULT_SEED) -> OptResult:
     """Maximize the simulated score over the ansatz under eps constraints.
 
-    Each start runs one constrained SLSQP solve in the angle chart, with
-    the analytic gradient and constraint Jacobian: alpha and beta stay in
-    the open interval (0, pi) and e10, e01 <= eps through their closed
-    forms. SLSQP can end outside the constraints by rounding, so every
-    end point goes through the exact feasibility polish; the returned
-    point satisfies both constraints strictly.
+    Each start runs one constrained SQP solve in the chart
+    (u_a, u_b, t1, t2), alpha = ``_angle(u_a)`` and beta = ``_angle(u_b)``
+    in the open interval (0, pi), with the analytic gradient of q - p
+    and the rows |m10|, |m01| <= sqrt(eps) of ``_eps_rows``. The solve
+    can end outside the constraints by rounding, so every end point
+    goes through the exact feasibility polish; the returned point
+    satisfies e10, e01 <= eps in their closed forms.
     Besides the seeded random starts, the analytic eps = 0 optimum,
     feasible at every eps, is one more start and, unoptimized, one more
     candidate, so the result never falls below the ideal optimum as
@@ -363,31 +535,29 @@ def optimize_nonideal(eps: float, starts: int = DEFAULT_STARTS,
     if eps == 0.0:
         return _ideal_to_ansatz(optimize_ideal(starts=starts, seed=seed))
 
-    def candidate(x, conv):
-        a, b, t1, t2 = x
+    def candidate(a, b, t1, t2, conv):
         s00, s01, s11 = _polish(a, b, t1, t2, eps)
         q, p, e10, e01 = ansatz_stats(a, b, s00, s01, s11)
         return p - q, (s00, s01, s11, a, b), conv, (e10, e01)
 
-    bounds = [(_EDGE, pi - _EDGE)] * 2 + [(None, None)] * 2
-
-    def slack(x):
-        _, _, e10, e01 = ansatz_stats(x[0], x[1], *_chart(x[2], x[3]))
-        return np.array([eps - e10, eps - e01])
-
+    rows = functools.partial(_eps_rows, sqrt(eps))
     x0s = []
     for k in range(starts):
         rng = np.random.default_rng([seed, k])
-        x0s.append(np.array([rng.uniform(0.2, pi - 0.2), rng.uniform(0.2, pi - 0.2),
-                             rng.uniform(0.1, pi / 2), rng.uniform(0.0, TWO_PI)]))
+        a, b = rng.uniform(0.2, pi - 0.2), rng.uniform(0.2, pi - 0.2)
+        t1, t2 = rng.uniform(0.1, pi / 2), rng.uniform(0.0, TWO_PI)
+        # the drawn state: s00 = cos t1, (sqrt2 s01, s11) = sin t1 (cos t2, sin t2)
+        x0s.append((a, b, *_chart_inverse(cos(t1), sin(t1) * cos(t2) / SQRT2,
+                                          sin(t1) * sin(t2))))
     x0s.append(_analytic_seed())
     cands = []
-    for x0 in x0s:
-        res = minimize(_nonideal_neg, _nonideal_neg_grad, x0, bounds,
-                       slack, _slack_jac)
-        cands.append(candidate(res.x, res.converged))
+    for a, b, t1, t2 in x0s:
+        res = minimize(_nonideal_neg, [_angle_inverse(a), _angle_inverse(b), t1, t2],
+                       rows)
+        ua, ub, t1, t2 = res.x
+        cands.append(candidate(_angle(ua), _angle(ub), t1, t2, res.converged))
     # the seed itself, in case its solve ended lower; ``res`` is the seed's run
-    cands.append(candidate(x0s[-1], res.converged))
+    cands.append(candidate(*x0s[-1], res.converged))
     score, prm, conv, (e10, e01) = _best(cands)
     s00, s01, s11, a, b = prm
     params = {"s00": s00, "s01": s01, "s11": s11, "alpha": a, "beta": b,
@@ -398,36 +568,35 @@ def optimize_nonideal(eps: float, starts: int = DEFAULT_STARTS,
 
 # -- Hardy special case -------------------------------------------------
 
-def _hardy_neg(x) -> float:
-    (_, Q, _), _, _ = _family_terms(x[0], x[1])
-    return -Q
-
-
-def _hardy_neg_grad(x) -> np.ndarray:
-    _, d_a, d_b = _family_terms(x[0], x[1])
-    return -np.array([d_a[1], d_b[1]])
+def _hardy_neg(x):
+    """Minus p on the zero slice and its gradient in the chart (u_a, u_b)."""
+    ua, ub = x
+    (_, Q, _), d_a, d_b = _family_terms(_angle(ua), _angle(ub))
+    return -Q, [-d_a[1] * _HALF_SPAN * sin(ua), -d_b[1] * _HALF_SPAN * sin(ub)]
 
 
 def optimize_hardy(starts: int = DEFAULT_STARTS, seed: int = DEFAULT_SEED) -> OptResult:
     """Maximize p with the additional constraint q = 0.
 
     Within the constrained family the zero constraint pins the |00>
-    amplitude: c equals the normalizability ceiling, leaving a
-    box-bounded search over the two angles with
+    amplitude: c equals the normalizability ceiling, leaving a search
+    over the two angles with
     p = sin^2(alpha/2) sin^2(beta/2) / (1 + tan^2(alpha/2) + tan^2(beta/2)),
-    one SLSQP descent per start with the analytic gradient. The
-    reported c is rounded up to where the normalizability radicand is
-    not positive, so the |00> amplitude of the state is exactly zero.
+    one SQP descent per start in the chart (u_a, u_b) with the analytic
+    gradient. The reported c is rounded up to where the normalizability
+    radicand is not positive, so the |00> amplitude of the state is
+    exactly zero.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    bounds = [(_EDGE, pi - _EDGE)] * 2
     cands = []
     for k in range(starts):
         rng = np.random.default_rng([seed, k])
-        x0 = [rng.uniform(0.2, pi - 0.2), rng.uniform(0.2, pi - 0.2)]
-        res = minimize(_hardy_neg, _hardy_neg_grad, x0, bounds)
-        cands.append((-res.fun, tuple(res.x), res.converged))
+        x0 = [_angle_inverse(rng.uniform(0.2, pi - 0.2)),
+              _angle_inverse(rng.uniform(0.2, pi - 0.2))]
+        res = minimize(_hardy_neg, x0)
+        ua, ub = res.x
+        cands.append((-res.fun, (_angle(ua), _angle(ub)), res.converged))
     score, (a, b), conv = _best(cands)
     w = _ceiling_w(a, b)
     c = 1.0 / sqrt(w)

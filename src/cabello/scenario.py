@@ -20,7 +20,6 @@ import numpy as np
 
 PLUS, MINUS = 0, 1
 
-_LP_SLACK = 1e-12  # rounding slack on the weights and eps rows of an LP vertex
 _QUANTUM_TOL = 1e-10
 _BEHAVIOR_TOL = 1e-9
 
@@ -217,18 +216,21 @@ _VERTICES = np.unique(_vertex_stats(), axis=0)
 
 
 @functools.cache
-def _supports(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _supports(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Index arrays for n columns: every pair (m, 2) and triple (m, 3) in
-    lexicographic order, and the support of every LP candidate as a row
-    of three indices: singles, pairs twice (one per eps row), triples.
-    Singles and pairs repeat their last index, with weight 0 there."""
+    lexicographic order, the support of every LP candidate as a row of
+    three indices (singles, pairs twice, one per eps row, then triples;
+    singles and pairs repeat their last index, with weight 0 there),
+    and per candidate which of its two eps rows it makes tight."""
     pairs, triples = (np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
                       for k in (2, 3))
     padded = pairs[:, [0, 1, 1]]
     S = np.concatenate((np.arange(n).repeat(3).reshape(n, 3), padded, padded, triples))
-    for a in (pairs, triples, S):
+    tight = np.repeat([[False, False], [True, False], [False, True], [True, True]],
+                      [n, len(pairs), len(pairs), len(triples)], axis=0)
+    for a in (pairs, triples, S, tight):
         a.setflags(write=False)  # shared by every call
-    return pairs, triples, S
+    return pairs, triples, S, tight
 
 
 def solve_lp(cols: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
@@ -241,16 +243,20 @@ def solve_lp(cols: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
     tight, or three with both tight. All are enumerated in that order
     (pairs against e10, then against e01), each in lexicographic order
     of its support, and the first best candidate wins, so ties resolve
-    deterministically. A candidate counts as feasible within
-    ``_LP_SLACK``, which absorbs rounding only; the returned weights are
-    clipped to >= 0. Raises ValueError unless cols is a finite (n, 3)
-    array with n >= 1, and InfeasibleError when no mixture is feasible.
+    deterministically. A candidate is feasible when its weights are
+    >= 0 and each eps row it does not make tight by construction holds,
+    both as computed and with no slack: a mixture that breaks a row by
+    rounding can score above the optimum, and a vertex that sits on a
+    bound only up to rounding is degenerate, so it is also enumerated
+    on a smaller support or with that row tight. Raises
+    ValueError unless cols is a finite (n, 3) array with n >= 1, and
+    InfeasibleError when no mixture is feasible.
     """
     cols = np.asarray(cols, dtype=float)
     if cols.ndim != 2 or cols.shape[1] != 3 or not cols.size or not np.isfinite(cols).all():
         raise ValueError(f"cols must be a finite (n, 3) array with n >= 1, got {cols.shape}")
     n = len(cols)
-    pairs, triples, S = _supports(n)
+    pairs, triples, S, tight = _supports(n)
     # candidate weights over the supports S; NaN marks a singular system
     weights = [np.eye(1, 3).repeat(n, axis=0)]
     for r in (1, 2):  # pairs with eps row r tight: t r_i + (1 - t) r_j = eps
@@ -268,14 +274,14 @@ def solve_lp(cols: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
                              out=np.full((len(det), 3), np.nan), where=det != 0))
     W = np.concatenate(weights)
     # NaN weights fail the test, so singular systems drop out here
-    ok = np.flatnonzero((W >= -_LP_SLACK).all(axis=1))
+    ok = np.flatnonzero((W >= 0.0).all(axis=1))
     mix = np.einsum("kj,kjr->kr", W[ok], cols[S[ok]])  # (score, e10, e01) per candidate
-    feasible = (mix[:, 1:] <= eps + _LP_SLACK).all(axis=1)
+    feasible = (tight[ok] | (mix[:, 1:] <= eps)).all(axis=1)
     if not feasible.any():
         raise InfeasibleError(f"no mixture of the {n} columns meets eps = {eps}")
     k = np.argmax(np.where(feasible, mix[:, 0], -np.inf))
     w = np.zeros(n)
-    np.add.at(w, S[ok[k]], np.maximum(W[ok[k]], 0.0))
+    np.add.at(w, S[ok[k]], W[ok[k]])
     return float(mix[k, 0]), w
 
 

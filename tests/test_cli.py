@@ -2,10 +2,15 @@
 codes, determinism, and the sweep CSV artifact."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cabello
 from cabello import cli, qubit
 from cabello.cli import (
     CSV_HEADER,
@@ -252,6 +257,36 @@ def test_stdout_matches_frozen_bytes(argv, capsys):
     code, out, err = run_cli(list(argv), capsys)
     assert code == 0
     assert out == oracles.CLI_STDOUT[argv]
+
+
+_NO_SCIPY_LOADED = """
+import sys
+import cabello.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:5]
+"""
+
+_FROZEN_BYTES_WITHOUT_SCIPY = """
+import contextlib, io, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import cabello.cli
+import oracles
+for argv, want in oracles.CLI_STDOUT.items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cabello.cli.main(list(argv))
+    assert (code, out.getvalue()) == (0, want), argv
+"""
+
+
+def test_cli_runs_without_scipy():
+    # fresh interpreters, so no module imported by another test counts
+    paths = [str(Path(cabello.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    for script in (_NO_SCIPY_LOADED, _FROZEN_BYTES_WITHOUT_SCIPY):
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_sweep_rejects_bad_steps(capsys):

@@ -1,8 +1,10 @@
-"""Tests for the SLSQP minimizer, the multistart searches and the
+"""Tests for the SQP minimizer, the multistart searches and the
 epsilon sweep."""
 
 import dataclasses
+import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -36,17 +38,14 @@ import oracles
 
 
 def test_minimize_quadratic_bowl():
-    r = minimize(lambda x: float(x @ x), lambda x: 2 * x, np.array([1.0, 1.0]),
-                 [(None, None)] * 2)
+    r = minimize(lambda x: (x[0] ** 2 + x[1] ** 2, [2 * x[0], 2 * x[1]]), [1.0, 1.0])
     assert r.fun <= 1e-12
-    assert np.abs(r.x).max() < 1e-6
+    assert max(abs(v) for v in r.x) < 1e-6
     assert r.converged
 
 
 def test_minimize_shifted_parabola():
-    r = minimize(lambda x: float((x[0] - 3.0) ** 2),
-                 lambda x: np.array([2 * (x[0] - 3.0)]), np.array([0.0]),
-                 [(-10.0, 10.0)])
+    r = minimize(lambda x: ((x[0] - 3.0) ** 2, [2 * (x[0] - 3.0)]), [0.0])
     assert abs(r.x[0] - 3.0) < 1e-6
     assert r.fun <= 1e-12
     assert r.converged
@@ -54,36 +53,55 @@ def test_minimize_shifted_parabola():
 
 def test_minimize_active_inequality():
     # min x^2 subject to x >= 1: the constraint is active at the optimum
-    r = minimize(lambda x: float(x[0] ** 2), lambda x: 2 * x, np.array([3.0]),
-                 [(None, None)], ineq=lambda x: np.array([x[0] - 1.0]),
-                 ineq_jac=lambda x: np.array([[1.0]]))
+    r = minimize(lambda x: (x[0] ** 2, [2 * x[0]]), [3.0],
+                 cons=lambda x: ([x[0] - 1.0], [[1.0]]))
     assert abs(r.x[0] - 1.0) < 1e-9
     assert abs(r.fun - 1.0) < 1e-9
     assert r.converged
 
 
 def test_minimize_iteration_cap_flag(monkeypatch):
-    # Rosenbrock needs far more than two SLSQP iterations from (-1.2, 1)
-    monkeypatch.setattr(optimize, "SLSQP_MAX_ITER", 2)
-    f = lambda x: float(100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2)
-    g = lambda x: np.array([-400 * x[0] * (x[1] - x[0] ** 2) - 2 * (1 - x[0]),
-                            200 * (x[1] - x[0] ** 2)])
-    r = minimize(f, g, np.array([-1.2, 1.0]), [(None, None)] * 2)
+    # Rosenbrock needs far more than two SQP iterations from (-1.2, 1)
+    monkeypatch.setattr(optimize, "SQP_MAX_ITER", 2)
+
+    def rosenbrock(x):
+        a, b = x
+        return (100 * (b - a * a) ** 2 + (1 - a) ** 2,
+                [-400 * a * (b - a * a) - 2 * (1 - a), 200 * (b - a * a)])
+
+    r = minimize(rosenbrock, [-1.2, 1.0])
     assert not r.converged
+    assert r.nit == 2
     assert r.nevals > 0
 
 
 def test_minimize_bitwise_deterministic():
-    f = lambda x: float((x[0] - 1.2) ** 2 + (x[1] + 0.7) ** 4 + np.cos(x[0] * x[1]))
-    g = lambda x: np.array([2 * (x[0] - 1.2) - x[1] * np.sin(x[0] * x[1]),
-                            4 * (x[1] + 0.7) ** 3 - x[0] * np.sin(x[0] * x[1])])
-    x0 = np.array([0.1, 0.9])
-    bounds = [(-2.0, 2.0)] * 2
-    a = minimize(f, g, x0, bounds)
-    b = minimize(f, g, x0.copy(), bounds)
-    assert np.array_equal(a.x, b.x)
+    def f(x):
+        a, b = x
+        return ((a - 1.2) ** 2 + (b + 0.7) ** 4 + math.cos(a * b),
+                [2 * (a - 1.2) - b * math.sin(a * b),
+                 4 * (b + 0.7) ** 3 - a * math.sin(a * b)])
+
+    a = minimize(f, [0.1, 0.9])
+    b = minimize(f, [0.1, 0.9])
+    assert a.x == b.x
     assert a.fun == b.fun
     assert a.nevals == b.nevals
+
+
+def test_no_nonideal_start_stalls_at_the_iteration_cap(monkeypatch):
+    # every start ends by the stopping test or by running out of descent,
+    # none by the cap; at eps = 1e-6 one start used to crawl to it
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(minimize(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(optimize, "minimize", recording)
+    optimize_nonideal(1e-6)
+    assert len(runs) == 65
+    assert all(r.converged or r.nit < optimize.SQP_MAX_ITER for r in runs)
 
 
 @pytest.fixture(scope="module")
@@ -215,31 +233,53 @@ def test_nonideal_gains_over_ideal_as_eps_vanishes():
 
 
 def _central_jac(f, x, h=1e-6):
+    """Central differences of f, scalar or vector valued, at the list x;
+    one column per coordinate."""
     cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h))
+    for i in range(len(x)):
+        up, down = list(x), list(x)
+        up[i] += h
+        down[i] -= h
+        cols.append((np.asarray(f(up)) - np.asarray(f(down))) / (2 * h))
     return np.array(cols).T
 
 
 def test_analytic_gradients_match_central_differences():
+    # the value-and-gradient callables in their chart coordinates, which
+    # take every real, and the |m| <= sqrt(eps) rows of the nonideal search
     rng = np.random.default_rng(21)
-    neg_stats = lambda x: -np.array(ansatz_stats(x[0], x[1],
-                                                 *optimize._chart(x[2], x[3]))[2:])
-    pairs = ((optimize._ideal_neg, optimize._ideal_neg_grad, "ideal"),
-             (optimize._nonideal_neg, optimize._nonideal_neg_grad, "nonideal"),
-             (neg_stats, optimize._slack_jac, "nonideal"),
-             (optimize._hardy_neg, optimize._hardy_neg_grad, "hardy"))
+    rows = functools.partial(optimize._eps_rows, 0.1)
+    fused = (("ideal", optimize._ideal_neg, 4), ("nonideal", optimize._nonideal_neg, 4),
+             ("hardy", optimize._hardy_neg, 2))
     for _ in range(50):
-        a, b = rng.uniform(0.2, np.pi - 0.2, size=2)
-        t = rng.uniform(0.1, np.pi / 2 - 0.1)
-        d = rng.uniform(0.0, 2 * np.pi)
-        x = {"ideal": np.array([a, b, t, d]), "nonideal": np.array([a, b, t, d]),
-             "hardy": np.array([a, b])}
-        for f, jac, chart in pairs:
-            err = np.abs(_central_jac(f, x[chart]) - jac(x[chart])).max()
-            assert err <= 1e-7, (f.__name__, x[chart], err)
+        x = list(rng.uniform(-2 * np.pi, 2 * np.pi, size=4))
+        for name, fun, n in fused:
+            err = np.abs(_central_jac(lambda y: fun(y)[0], x[:n]) - fun(x[:n])[1]).max()
+            assert err <= 1e-7, (name, x[:n], err)
+        err = np.abs(_central_jac(lambda y: rows(y)[0], x) - np.array(rows(x)[1])).max()
+        assert err <= 1e-7, ("eps rows", x, err)
+
+
+def test_charts_keep_the_box_and_invert_the_seeded_draws():
+    # every real u, multiples of pi included, maps into [_EDGE, pi - _EDGE],
+    # so MeasurementParams accepts every candidate of every search
+    rng = np.random.default_rng(5)
+    us = ([k * np.pi for k in range(-8, 9)] + [1e-300, -1e-300, 1e6, -1e300, 1e300]
+          + list(rng.uniform(-50.0, 50.0, 500)))
+    for u in us:
+        a = optimize._angle(float(u))
+        assert optimize._EDGE <= a <= np.pi - optimize._EDGE, u
+        MeasurementParams(alpha=a, beta=a)
+    # each start's seeded draws map into the charts through acos and back
+    for k in range(64):
+        rng = np.random.default_rng([0, k])
+        for _ in range(2):
+            a = rng.uniform(0.2, np.pi - 0.2)
+            assert abs(optimize._angle(optimize._angle_inverse(a)) - a) <= 1e-15
+        t1, t2 = rng.uniform(0.1, np.pi / 2), rng.uniform(0.0, 2 * np.pi)
+        state = (np.cos(t1), np.sin(t1) * np.cos(t2) / np.sqrt(2), np.sin(t1) * np.sin(t2))
+        back = optimize._chart(*optimize._chart_inverse(*state))
+        assert np.abs(np.subtract(back, state)).max() <= 1e-15
 
 
 def test_nonideal_monotone_in_eps():
