@@ -3,7 +3,7 @@
 Modules in dependency order: scenario (behaviors, the local polytope
 and its LP), qubit (the constrained two-qubit family and its
 closed-form score), npa (moment-matrix upper bounds), optimize (the
-SQP minimizer, seeded multistart searches and the epsilon sweep),
+BFGS minimizer, multistart searches and the epsilon sweep),
 selftest (direct sums and the extraction isometry), cli.
 """
 

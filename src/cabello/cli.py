@@ -3,7 +3,8 @@
 Verbs: verify-formula, optimize, local-bound, npa, sweep, selftest,
 hardy. Data goes to --out (default standard output), diagnostics to
 standard error. Exit codes: 0 success, 1 numerical failure, 2 usage
-error. All randomness flows from --seed; identical command lines give
+error. The random starts of the ideal and Hardy searches and the draws
+of verify-formula flow from --seed; identical command lines give
 byte-identical output.
 """
 
@@ -63,12 +64,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     add_out(p)
 
-    p = sub.add_parser("optimize", help="multistart score maximization")
+    # unset options stay out of the namespace, so that _run_optimize can
+    # reject the ones the mode does not use
+    p = sub.add_parser("optimize", help="multistart score maximization",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--mode", choices=["ideal", "nonideal"], default="ideal")
-    p.add_argument("--eps", type=float, default=0.0,
-                   help="constraint level for --mode nonideal")
-    p.add_argument("--starts", type=int, default=optimize.DEFAULT_STARTS)
-    p.add_argument("--seed", type=int, default=optimize.DEFAULT_SEED)
+    p.add_argument("--eps", type=float,
+                   help="constraint level for --mode nonideal (default 0)")
+    p.add_argument("--starts", type=int, help="random starts for --mode ideal")
+    p.add_argument("--seed", type=int, help="master seed for --mode ideal")
     add_out(p)
 
     p = sub.add_parser("local-bound", help="eps-constrained local polytope LP")
@@ -85,8 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-max", type=float, default=0.5)
     p.add_argument("--steps", type=int, default=51)
     p.add_argument("--level", choices=list(npa.LEVELS), default="2")
-    p.add_argument("--starts", type=int, default=optimize.DEFAULT_STARTS)
-    p.add_argument("--seed", type=int, default=optimize.DEFAULT_SEED)
     add_out(p)
 
     p = sub.add_parser("selftest", help="extraction-isometry fidelity of a direct sum")
@@ -167,10 +169,14 @@ def _run_verify_formula(o, out) -> int:
 
 
 def _run_optimize(o, out) -> int:
+    unused = ("eps",) if o["mode"] == "ideal" else ("starts", "seed")
+    given = [f"--{k}" for k in unused if k in o]
+    if given:
+        raise ValueError(f"--mode {o['mode']} takes no {', '.join(given)}")
     if o["mode"] == "ideal":
-        res = optimize.optimize_ideal(starts=o["starts"], seed=o["seed"])
+        res = optimize.optimize_ideal(**{k: o[k] for k in ("starts", "seed") if k in o})
     else:
-        res = optimize.optimize_nonideal(o["eps"], starts=o["starts"], seed=o["seed"])
+        res = optimize.optimize_nonideal(o.get("eps", 0.0))
     _emit(res.to_json() + "\n", out)
     return 0
 
@@ -206,8 +212,7 @@ def _run_sweep(o, out) -> int:
         raise ValueError("--steps must be >= 1")
     lo, hi = o["eps_min"], o["eps_max"]
     grid = np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
-    records = optimize.sweep_epsilon(grid, level=o["level"], starts=o["starts"],
-                                     seed=o["seed"])
+    records = optimize.sweep_epsilon(grid, level=o["level"])
     _emit(sweep_to_csv(records), out)
     bad = [r for r in records if r.status != "ok"]
     for r in bad:

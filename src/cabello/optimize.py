@@ -1,4 +1,4 @@
-"""Seeded multistart maximization of the score.
+"""Multistart maximization of the score.
 
 Three searches: the ideal problem over the constrained family
 (reproducing the analytic optimum), the nonideal problem over the real
@@ -7,16 +7,17 @@ with the extra zero constraint. Phases are fixed to phi = xi = 0: the
 score depends on the three phases only through their sum, so freeing
 them adds flat directions and nothing else.
 
-Each search runs one SQP descent per start (``minimize``, stopped by
-``SQP_TOL`` and ``SQP_MAX_ITER``) on one callable that returns the
+Each search runs one BFGS descent per start (``minimize``, stopped by
+``BFGS_TOL`` and ``BFGS_MAX_ITER``) on one callable that returns the
 value of its closed form together with the hand-written gradient. Every
 chart keeps its structure exact: normalization, for Hardy the zero
-constraint, and the box of every bounded angle (``_angle`` maps every
-real u into [_EDGE, pi - _EDGE]). So only the two eps rows of the
-nonideal search reach the solver as constraints.
+constraint, for the nonideal search the two eps rows, and the box of
+every bounded angle (``_angle`` maps every real u into
+[_EDGE, pi - _EDGE]). So every descent is unconstrained.
 
-Every start draws its own generator from the master seed and a counter,
-and results merge by maximal score with lexicographic parameter
+The ideal and Hardy searches draw each start's generator from the
+master seed and a counter; the nonideal search starts from a fixed
+grid. Results merge by maximal score with lexicographic parameter
 tie-break, so a run is a deterministic function of its arguments.
 """
 
@@ -26,7 +27,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from math import acos, atan2, copysign, cos, pi, sin, sqrt, tan
+from math import acos, cos, pi, sin, sqrt, tan
 from operator import mul
 from typing import Callable, Sequence
 
@@ -38,13 +39,12 @@ from .qubit import (ConstrainedStateParams, MeasurementParams, analytic_optimum,
 from .scenario import local_max_score
 
 TWO_PI = 2 * pi
-SQRT2 = sqrt(2.0)
 
 DEFAULT_STARTS = 64
 DEFAULT_SEED = 0
 
-SQP_TOL = 1e-12     # stopping tolerance of every descent
-SQP_MAX_ITER = 200  # iteration cap of every descent
+BFGS_TOL = 1e-12     # stopping tolerance of every descent
+BFGS_MAX_ITER = 200  # iteration cap of every descent
 
 _EDGE = 1e-9          # open-interval guard for the polar angles
 _HALF_SPAN = pi / 2 - _EDGE  # ``_angle`` spans pi/2 -+ _HALF_SPAN
@@ -100,10 +100,9 @@ class MinimizeResult:
     """End point of ``minimize``.
 
     ``nevals`` counts calls of the value-and-gradient callable and
-    ``nit`` the subproblems solved. ``converged`` says that the stopping
-    test held; when it is False (no descent was left, the linearized
-    constraints were inconsistent, or ``nit`` reached ``SQP_MAX_ITER``)
-    the last iterate is still returned.
+    ``nit`` the steps taken. ``converged`` says that the stopping test
+    held; when it is False (no descent was left, or ``nit`` reached
+    ``BFGS_MAX_ITER``) the last iterate is still returned.
     """
 
     x: tuple[float, ...]
@@ -113,152 +112,56 @@ class MinimizeResult:
     nit: int
 
 
-# the nonempty active sets ``_qp_step`` tries, in order, per number of rows
-_ACTIVE_SETS = {1: ((0,),), 2: ((0,), (1,), (0, 1))}
-
-
-def _solve_active(M, W, r):
-    """x with M_WW x = r on the rows W of the Gram matrix M, by
-    elimination; None when M_WW is not positive definite."""
-    if len(W) == 1:
-        m = M[W[0]][W[0]]
-        return [r[0] / m] if m > 0.0 else None
-    (m00, m01), (m10, m11) = M
-    if not m00 > 0.0:
-        return None
-    piv = m11 - m10 / m00 * m01
-    if not piv > 0.0:
-        return None
-    x1 = (r[1] - m10 / m00 * r[0]) / piv
-    return [(r[0] - m01 * x1) / m00, x1]
-
-
-def _qp_step(H, g, c, A):
-    """Step d and multipliers lam of the SQP subproblem, or None.
-
-    Minimizes d'Bd / 2 + g'd subject to c_i + A_i d >= 0 for at most
-    two rows, where B is the inverse of the positive definite H. The
-    subproblem is strictly convex, so the first active set W among
-    {}, {1}, {2}, {1, 2} whose minimizer on c_W + A_W d = 0,
-    d = H(A_W' lam - g), has lam >= 0 and meets the other row is its
-    solution. The choice needs only the Gram matrix M = A H A' and the
-    residuals r = c + A d0 of the unconstrained step d0 = -H g. The
-    multipliers of W are then refined once from the residual at d, so
-    that c_W + A_W d vanishes to rounding in d even where H is large.
-    None means that no active set qualifies: the linearized rows are
-    inconsistent.
-    """
-    d = [-sum(map(mul, row, g)) for row in H]
-    HA = [[sum(map(mul, row, a)) for row in H] for a in A]
-    M = [[sum(map(mul, a, h)) for h in HA] for a in A]
-    r = [ci + sum(map(mul, a, d)) for ci, a in zip(c, A)]
-    lam = [0.0] * len(c)
-    if min(r, default=0.0) >= 0.0:  # W = {}: d0 meets every row
-        return d, lam
-    for W in _ACTIVE_SETS[len(c)]:
-        step = _solve_active(M, W, [-r[i] for i in W])
-        if step is None or min(step) < 0.0:
-            continue
-        # c_j + A_j d of the row left out, if any; then W holds one row
-        if all(r[j] + M[j][W[0]] * step[0] >= 0.0 for j in range(len(c)) if j not in W):
-            break
-    else:
-        return None
-    for refine in (False, True):
-        if refine:
-            step = _solve_active(M, W, [-c[i] - sum(map(mul, A[i], d)) for i in W])
-        for i, li in zip(W, step):
-            lam[i] += li
-            d = [dj + li * hj for dj, hj in zip(d, HA[i])]
-    return d, lam
-
-
-def _lagrangian_grad(g, A, lam):
-    """g - A' lam, the gradient of f - lam'c."""
-    for li, ai in zip(lam, A):
-        if li:
-            g = [gj - li * aj for gj, aj in zip(g, ai)]
-    return g
-
-
 def minimize(
     fun: Callable[[list[float]], tuple[float, Sequence[float]]],
     x0: Sequence[float],
-    cons: Callable[[list[float]], tuple[Sequence[float], Sequence[Sequence[float]]]]
-    | None = None,
 ) -> MinimizeResult:
-    """SQP descent from x0 on ``fun`` subject to ``cons(x) >= 0``.
+    """Damped BFGS descent from x0 on ``fun``.
 
-    ``fun(x)`` returns the value and the gradient at x; ``cons(x)``
-    returns the values of at most two constraints and their gradient
-    rows. Both are used as given, with no finite differences. This is
-    the method of SLSQP (Kraft, DFVLR-FB 88-28, 1988) on Python floats,
-    cut down to these sizes:
+    ``fun(x)`` returns the value and the gradient at x, used as given,
+    with no finite differences. The method, on Python floats:
 
-    - the inverse H of a BFGS approximation to the Hessian of the
-      Lagrangian, starting at the identity and updated with Powell's
-      damping (Lecture Notes in Math. 630, 1978), so that it stays
-      positive definite;
-    - the step of the quadratic subproblem in closed form
-      (``_qp_step``);
-    - backtracking on the l1 merit function f + sum_i rho_i max(0, -c_i),
-      with SLSQP's penalty update rho_i = max(|lam_i|, (rho_i + |lam_i|)/2),
-      Armijo factor 0.1, safeguarded quadratic interpolation and at
-      most ten trial points.
+    - the inverse H of a BFGS approximation to the Hessian, starting at
+      the identity and updated with Powell's damping (Lecture Notes in
+      Math. 630, 1978), so that it stays positive definite;
+    - the step d = -H g, backtracked on f with Armijo factor 0.1,
+      safeguarded quadratic interpolation and at most ten trial points.
 
-    It stops converged when the predicted decrease |g'd| + sum_i |lam_i c_i|
-    and the violation sum_i max(0, -c_i) are both below ``SQP_TOL``, or
-    when a step changes f or moves x by less than ``SQP_TOL`` and leaves
-    a violation below ``SQP_TOL``. It stops unconverged when no descent
-    is left (the merit function does not decrease along d, or not
-    enough within ten trial points), when the subproblem is
-    inconsistent, or after ``SQP_MAX_ITER`` iterations. The run is a
-    deterministic function of its arguments. The end point may violate
-    ``cons`` by rounding, so a caller that needs exact feasibility
-    restores it itself.
+    It stops converged when the predicted decrease |g'd| is below
+    ``BFGS_TOL``, or when a step changes f or moves x by less than
+    ``BFGS_TOL``. It stops unconverged when no descent is left (f does
+    not decrease along d, or not enough within ten trial points), or
+    after ``BFGS_MAX_ITER`` iterations. The run is a deterministic
+    function of its arguments.
     """
     x = [float(v) for v in x0]
     n = len(x)
-    no_rows = ((), ())
     f, g = fun(x)
-    c, A = cons(x) if cons is not None else no_rows
     nevals, nit = 1, 0
     H = [[float(i == j) for j in range(n)] for i in range(n)]
-    rho = [0.0] * len(c)
-    while nit < SQP_MAX_ITER:
+    while nit < BFGS_MAX_ITER:
         nit += 1
-        qp = _qp_step(H, g, c, A)
-        if qp is None:
-            break
-        d, lam = qp
+        d = [-sum(map(mul, row, g)) for row in H]
         gd = sum(map(mul, g, d))
-        viol = [max(0.0, -ci) for ci in c]
-        if (abs(gd) + sum(abs(li * ci) for li, ci in zip(lam, c)) < SQP_TOL
-                and sum(viol) < SQP_TOL):
+        if abs(gd) < BFGS_TOL:
             return MinimizeResult(tuple(x), f, nevals, True, nit)
-        rho = [max(abs(li), (ri + abs(li)) / 2) for ri, li in zip(rho, lam)]
-        penalty = sum(map(mul, rho, viol))
-        merit, slope = f + penalty, gd - penalty  # slope: of the merit along d
         t = 1.0
-        for _ in range(10 if slope < 0.0 else 0):
+        for _ in range(10 if gd < 0.0 else 0):
             xt = [xi + t * di for xi, di in zip(x, d)]
             ft, gt = fun(xt)
-            ct, At = cons(xt) if cons is not None else no_rows
             nevals += 1
-            drop = ft + sum(ri * max(0.0, -ci) for ri, ci in zip(rho, ct)) - merit
-            if drop <= 0.1 * t * slope:
+            drop = ft - f
+            if drop <= 0.1 * t * gd:
                 break
-            t *= max(t * slope / (2.0 * (t * slope - drop)), 0.1)
+            t *= max(t * gd / (2.0 * (t * gd - drop)), 0.1)
         else:
             break  # no descent left along d
         s = [t * di for di in d]
-        if ((abs(ft - f) < SQP_TOL or math.hypot(*s) < SQP_TOL)
-                and sum(max(0.0, -ci) for ci in ct) < SQP_TOL):
+        if abs(ft - f) < BFGS_TOL or math.hypot(*s) < BFGS_TOL:
             return MinimizeResult(tuple(xt), ft, nevals, True, nit)
-        # secant pair of the Lagrangian at fixed multipliers; B s = t B d
-        gl = _lagrangian_grad(g, A, lam)
-        y = [a - b for a, b in zip(_lagrangian_grad(gt, At, lam), gl)]
-        Bs = [-t * v for v in gl]
+        # secant pair; B s = t B d = -t g
+        y = [a - b for a, b in zip(gt, g)]
+        Bs = [-t * v for v in g]
         sBs, sy = sum(map(mul, s, Bs)), sum(map(mul, s, y))
         if sy < 0.2 * sBs:  # Powell's damping
             theta = 0.8 * sBs / (sBs - sy)
@@ -270,7 +173,7 @@ def minimize(
             u = [k * sj - qj for sj, qj in zip(s, q)]
             H = [[hij + si * uj - qi * sj for hij, uj, sj in zip(row, u, s)]
                  for row, si, qi in zip(H, s, q)]
-        x, f, g, c, A = xt, ft, gt, ct, At
+        x, f, g = xt, ft, gt
     return MinimizeResult(tuple(x), f, nevals, False, nit)
 
 
@@ -344,7 +247,7 @@ def optimize_ideal(starts: int = DEFAULT_STARTS, seed: int = DEFAULT_SEED) -> Op
     Searches the chart (u_a, u_b, w, delta) with alpha = ``_angle(u_a)``,
     beta = ``_angle(u_b)``, t = (pi/4)(1 - cos w) and
     c = sin t / sqrt(1 + tan^2(alpha/2) + tan^2(beta/2)), in which every
-    point is normalizable, by one SQP descent per start with the
+    point is normalizable, by one BFGS descent per start with the
     analytic gradient. Each start draws alpha, beta and delta uniformly
     and t = asin(u), so that c is the fraction u of its ceiling, and
     maps them into the chart. The reported score is
@@ -377,24 +280,6 @@ def optimize_ideal(starts: int = DEFAULT_STARTS, seed: int = DEFAULT_SEED) -> Op
 
 # -- nonideal problem ---------------------------------------------------
 
-def _chart(t1: float, t2: float) -> tuple[float, float, float]:
-    """Angles to ansatz amplitudes (s00, s01, s11); normalization holds
-    identically.
-
-    Polar coordinates about the s11 axis: s11 = cos t1 and
-    (s00, sqrt2 s01) = sin t1 (cos t2, sin t2). The poles, where t2
-    degenerates, are the states +-|11>, away from the optima and from
-    the near-local valleys around +-|00>, in which descents in polar
-    coordinates about the s00 axis crawl along t2.
-    """
-    return sin(t1) * cos(t2), sin(t1) * sin(t2) / SQRT2, cos(t1)
-
-
-def _chart_inverse(s00: float, s01: float, s11: float) -> tuple[float, float]:
-    """The angles (t1, t2) that ``_chart`` maps to unit-norm amplitudes."""
-    return acos(s11), atan2(SQRT2 * s01, s00)
-
-
 def ansatz_stats(a: float, b: float, s00: float, s01: float,
                  s11: float) -> tuple[float, float, float, float]:
     """(q, p, e10, e01) of the real ansatz at phi = xi = 0, closed form."""
@@ -407,54 +292,70 @@ def ansatz_stats(a: float, b: float, s00: float, s01: float,
     return q, p, e10, e01
 
 
-def _ansatz_terms(x):
-    """Shared factors of the nonideal callables at x = (u_a, u_b, t1, t2):
-    the amplitudes, their partials along t1 and t2, and the half-angle
-    cosines and sines of alpha and beta with their rates along u."""
-    ua, ub, t1, t2 = x
-    a, b = _angle(ua), _angle(ub)
-    c1, s1, c2, s2 = cos(t1), sin(t1), cos(t2), sin(t2)
-    amps = (s1 * c2, s1 * s2 / SQRT2, c1)
-    d_t1 = (c1 * c2, c1 * s2 / SQRT2, -s1)
-    d_t2 = (-s1 * s2, s1 * c2 / SQRT2, 0.0)
-    half = (cos(a / 2), sin(a / 2), cos(b / 2), sin(b / 2))
-    rate = (_HALF_SPAN * sin(ua) / 2, _HALF_SPAN * sin(ub) / 2)  # d(angle/2)/du
-    return amps, d_t1, d_t2, half, rate
+# the starts (u_a, theta) of the slice search, run on both planes
+_SLICE_STARTS = tuple((ua, th) for ua in (pi / 6, pi / 2, 5 * pi / 6)
+                      for th in (pi / 2, 3 * pi / 2))
+# The slice descents run on _GAIN (q - p) in the chart _ROOT_GAIN (u_a, theta).
+# In exact arithmetic that takes the steps of q - p in (u_a, theta), but
+# stops at a predicted decrease of BFGS_TOL / _GAIN in the score. At
+# BFGS_TOL itself, descents at eps <= 1e-10 stopped up to 6e-14 below
+# the slice optimum; the ideal and Hardy searches keep BFGS_TOL.
+_GAIN = 100.0
+_ROOT_GAIN = sqrt(_GAIN)
 
 
-def _nonideal_neg(x):
-    """q - p from ``ansatz_stats`` and its gradient in the chart
-    (u_a, u_b, t1, t2); p = lin^2 with lin linear in the amplitudes."""
-    (s00, s01, s11), d_t1, d_t2, (ca, sa, cb, sb), (ra, rb) = _ansatz_terms(x)
-    lin = ca * cb * s00 + (ca * sb + sa * cb) * s01 + sa * sb * s11
-    lin_a = (-sa * cb * s00 + (ca * cb - sa * sb) * s01 + ca * sb * s11) * ra
-    lin_b = (-ca * sb * s00 + (ca * cb - sa * sb) * s01 + sa * cb * s11) * rb
-    d_s = (2 * s00 - 2 * lin * ca * cb, -2 * lin * (ca * sb + sa * cb),
-           -2 * lin * sa * sb)
-    return (s00 * s00 - lin * lin,
-            [-2 * lin * lin_a, -2 * lin * lin_b,
-             sum(map(mul, d_t1, d_s)), sum(map(mul, d_t2, d_s))])
+def _slice_terms(eps: float, sigma: float, x):
+    """Point of the symmetric tight slice at x = (u_a, theta), with its
+    partials.
 
+    With alpha = beta = ``_angle(u_a)`` and h = alpha/2, both eps rows
+    read m = cos h s01 + sin h s11, e10 = e01 = m^2. In the metric
+    G = diag(1, 2, 1) of the norm s00^2 + 2 s01^2 + s11^2 = 1, the plane
+    m = sigma sqrt(eps) has the nearest point
+    c0 = sigma sqrt(eps) (0, cos h, 2 sin h) / n2, n2 = 1 + sin^2 h, and
+    the orthonormal in-plane directions (1, 0, 0) and
+    (0, sin h, -cos h) / sqrt(n2). The sphere meets the plane in the
+    circle of radius R = sqrt(1 - 2 eps / n2) about c0, charted by
+    theta. R is formed as sqrt((1 - 2 eps + sin^2 h) / n2), which keeps
+    R and its partial finite at eps = 1/2 as h -> 0.
 
-def _eps_rows(r: float, x):
-    """The eps constraints as r - |m10| >= 0 and r - |m01| >= 0, r = sqrt(eps),
-    with their gradient rows in the chart (u_a, u_b, t1, t2).
-
-    e10 = m10^2 and e01 = m01^2 with m10 = cos(a/2) s01 + sin(a/2) s11
-    and m01 the same with b. Unlike the rows eps - m^2, whose gradient
-    vanishes with m as eps -> 0+, these keep a gradient of order one.
+    Returns the amplitudes (s00, s01, s11), their partials along h and
+    along theta, (cos h, sin h) and dh/du_a.
     """
-    (_, s01, s11), d_t1, d_t2, (ca, sa, cb, sb), (ra, rb) = _ansatz_terms(x)
-    m10, m01 = ca * s01 + sa * s11, cb * s01 + sb * s11
-    k10, k01 = -copysign(1.0, m10), -copysign(1.0, m01)
-    return ((r - abs(m10), r - abs(m01)),
-            ([k10 * (ca * s11 - sa * s01) * ra, 0.0,
-              k10 * (ca * d_t1[1] + sa * d_t1[2]), k10 * (ca * d_t2[1] + sa * d_t2[2])],
-             [0.0, k01 * (cb * s11 - sb * s01) * rb,
-              k01 * (cb * d_t1[1] + sb * d_t1[2]), k01 * (cb * d_t2[1] + sb * d_t2[2])]))
+    ua, th = x
+    h = _angle(ua) / 2
+    ch, sh, ct, st = cos(h), sin(h), cos(th), sin(th)
+    r, n2 = sigma * sqrt(eps), 1.0 + sh * sh
+    rn = sqrt(n2)
+    rad = sqrt((1.0 - 2.0 * eps + sh * sh) / n2)
+    rad_h = 2.0 * eps * sh * ch / (rad * n2 * n2)
+    k = rad * st / rn  # the in-plane coordinate along (0, sin h, -cos h)
+    k_h = st * (rad_h - rad * sh * ch / n2) / rn
+    amps = (rad * ct, r * ch / n2 + k * sh, 2.0 * r * sh / n2 - k * ch)
+    d_h = (rad_h * ct,
+           -r * sh * (1.0 + 2.0 * ch * ch / n2) / n2 + k_h * sh + k * ch,
+           2.0 * r * ch * (1.0 - 2.0 * sh * sh / n2) / n2 - k_h * ch + k * sh)
+    d_th = (-rad * st, rad * ct * sh / rn, -rad * ct * ch / rn)
+    return amps, d_h, d_th, (ch, sh), _HALF_SPAN * sin(ua) / 2
 
 
-def _polish(a: float, b: float, t1: float, t2: float,
+def _slice_neg(eps: float, sigma: float, y):
+    """_GAIN (q - p) from ``ansatz_stats`` on the slice and its gradient
+    in the chart y = _ROOT_GAIN (u_a, theta); p = lin^2 with lin linear
+    in the amplitudes."""
+    amps, d_h, d_th, (ch, sh), rate = _slice_terms(eps, sigma,
+                                                   [v / _ROOT_GAIN for v in y])
+    s00, s01, s11 = amps
+    w = (ch * ch, 2.0 * ch * sh, sh * sh)
+    lin = sum(map(mul, w, amps))
+    lin_h = 2.0 * (-ch * sh * s00 + (ch * ch - sh * sh) * s01 + sh * ch * s11)
+    d_s = (2.0 * s00 - 2.0 * lin * w[0], -2.0 * lin * w[1], -2.0 * lin * w[2])
+    return (_GAIN * (s00 * s00 - lin * lin),
+            [_ROOT_GAIN * (sum(map(mul, d_h, d_s)) - 2.0 * lin * lin_h) * rate,
+             _ROOT_GAIN * sum(map(mul, d_th, d_s))])
+
+
+def _polish(a: float, b: float, s00: float, s01: float, s11: float,
             eps: float) -> tuple[float, float, float]:
     """Rescale (s01, s11) to restore strict feasibility exactly.
 
@@ -465,7 +366,6 @@ def _polish(a: float, b: float, t1: float, t2: float,
     rescaled point just outside, so the rescale repeats with a growing
     margin until the closed forms give max(e10, e01) <= eps.
     """
-    s00, s01, s11 = _chart(t1, t2)
     shrink = 1.0 - 1e-15
     while True:
         _, _, e10, e01 = ansatz_stats(a, b, s00, s01, s11)
@@ -503,67 +403,52 @@ def _ideal_to_ansatz(res: OptResult) -> OptResult:
                      starts_used=res.starts_used, converged=res.converged)
 
 
-def _analytic_seed() -> tuple[float, float, float, float]:
-    """The eps = 0 optimum as angles (alpha, beta, t1, t2)."""
-    opt = analytic_optimum()
-    s00, s01, s11 = _ideal_amplitudes(opt.alpha, opt.c)
-    return (opt.alpha, opt.alpha, *_chart_inverse(s00, s01, s11))
-
-
-def optimize_nonideal(eps: float, starts: int = DEFAULT_STARTS,
-                      seed: int = DEFAULT_SEED) -> OptResult:
+def optimize_nonideal(eps: float) -> OptResult:
     """Maximize the simulated score over the ansatz under eps constraints.
 
-    Each start runs one constrained SQP solve in the chart
-    (u_a, u_b, t1, t2), alpha = ``_angle(u_a)`` and beta = ``_angle(u_b)``
-    in the open interval (0, pi), with the analytic gradient of q - p
-    and the rows |m10|, |m01| <= sqrt(eps) of ``_eps_rows``. The solve
-    can end outside the constraints by rounding, so every end point
-    goes through the exact feasibility polish; the returned point
-    satisfies e10, e01 <= eps in their closed forms.
-    Besides the seeded random starts, the analytic eps = 0 optimum,
-    feasible at every eps, is one more start and, unoptimized, one more
-    candidate, so the result never falls below the ideal optimum as
-    eps -> 0+. eps = 0 delegates to the ideal search, where the
-    constraints hold identically (the polish rescale degenerates at
-    eps = 0, collapsing the off-diagonal amplitudes).
+    For eps > 0 the search runs on the symmetric tight slice
+    (``_slice_terms``): alpha = beta and e10 = e01 = eps, where the
+    paper places the eps-robust optimum. Every point of the slice is an
+    explicit two-qubit strategy, so the result is a valid lower bound
+    whether or not the slice holds the optimum. One unconstrained
+    descent runs from each of the fixed starts ``_SLICE_STARTS`` on
+    each plane m = +-sqrt(eps), with the analytic gradient of q - p.
+    The closed forms can put an end point just outside the constraints
+    by rounding, so every end point goes through the exact feasibility
+    polish; the returned point satisfies e10, e01 <= eps in their
+    closed forms. The analytic eps = 0 optimum is one more candidate,
+    unoptimized. Its closed-form e10 = e01 is about 3e-33, so it keeps
+    the ideal score down to about that eps; below, the polish collapses
+    it. eps = 0 delegates to the ideal search, where the constraints hold
+    identically (the polish rescale degenerates at eps = 0, collapsing
+    the off-diagonal amplitudes).
     """
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"eps must lie in [0, 0.5], got {eps}")
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
     if eps == 0.0:
-        return _ideal_to_ansatz(optimize_ideal(starts=starts, seed=seed))
+        return _ideal_to_ansatz(optimize_ideal())
 
-    def candidate(a, b, t1, t2, conv):
-        s00, s01, s11 = _polish(a, b, t1, t2, eps)
-        q, p, e10, e01 = ansatz_stats(a, b, s00, s01, s11)
-        return p - q, (s00, s01, s11, a, b), conv, (e10, e01)
+    def candidate(a, amps, conv):
+        s00, s01, s11 = _polish(a, a, *amps, eps)
+        q, p, e10, e01 = ansatz_stats(a, a, s00, s01, s11)
+        return p - q, (s00, s01, s11, a, a), conv, (e10, e01)
 
-    rows = functools.partial(_eps_rows, sqrt(eps))
-    x0s = []
-    for k in range(starts):
-        rng = np.random.default_rng([seed, k])
-        a, b = rng.uniform(0.2, pi - 0.2), rng.uniform(0.2, pi - 0.2)
-        t1, t2 = rng.uniform(0.1, pi / 2), rng.uniform(0.0, TWO_PI)
-        # the drawn state: s00 = cos t1, (sqrt2 s01, s11) = sin t1 (cos t2, sin t2)
-        x0s.append((a, b, *_chart_inverse(cos(t1), sin(t1) * cos(t2) / SQRT2,
-                                          sin(t1) * sin(t2))))
-    x0s.append(_analytic_seed())
     cands = []
-    for a, b, t1, t2 in x0s:
-        res = minimize(_nonideal_neg, [_angle_inverse(a), _angle_inverse(b), t1, t2],
-                       rows)
-        ua, ub, t1, t2 = res.x
-        cands.append(candidate(_angle(ua), _angle(ub), t1, t2, res.converged))
-    # the seed itself, in case its solve ended lower; ``res`` is the seed's run
-    cands.append(candidate(*x0s[-1], res.converged))
+    for sigma in (1.0, -1.0):
+        neg = functools.partial(_slice_neg, eps, sigma)
+        for x0 in _SLICE_STARTS:
+            res = minimize(neg, [_ROOT_GAIN * v for v in x0])
+            x = [v / _ROOT_GAIN for v in res.x]
+            cands.append(candidate(_angle(x[0]), _slice_terms(eps, sigma, x)[0],
+                                   res.converged))
+    opt = analytic_optimum()
+    cands.append(candidate(opt.alpha, _ideal_amplitudes(opt.alpha, opt.c), False))
     score, prm, conv, (e10, e01) = _best(cands)
     s00, s01, s11, a, b = prm
     params = {"s00": s00, "s01": s01, "s11": s11, "alpha": a, "beta": b,
               "phi": 0.0, "xi": 0.0}
     return OptResult(score=score, params=params, e10=e10, e01=e01,
-                     starts_used=starts, converged=conv)
+                     starts_used=2 * len(_SLICE_STARTS), converged=conv)
 
 
 # -- Hardy special case -------------------------------------------------
@@ -582,7 +467,7 @@ def optimize_hardy(starts: int = DEFAULT_STARTS, seed: int = DEFAULT_SEED) -> Op
     amplitude: c equals the normalizability ceiling, leaving a search
     over the two angles with
     p = sin^2(alpha/2) sin^2(beta/2) / (1 + tan^2(alpha/2) + tan^2(beta/2)),
-    one SQP descent per start in the chart (u_a, u_b) with the analytic
+    one BFGS descent per start in the chart (u_a, u_b) with the analytic
     gradient. The reported c is rounded up to where the normalizability
     radicand is not positive, so the |00> amplitude of the state is
     exactly zero.
@@ -609,13 +494,12 @@ def optimize_hardy(starts: int = DEFAULT_STARTS, seed: int = DEFAULT_SEED) -> Op
 
 # -- sweep --------------------------------------------------------------
 
-def sweep_epsilon(eps_grid, level=2, starts: int = DEFAULT_STARTS,
-                  seed: int = DEFAULT_SEED) -> list[SweepRecord]:
+def sweep_epsilon(eps_grid, level=2) -> list[SweepRecord]:
     """Local bound, quantum lower bound, and relaxation upper bound per
     grid point.
 
-    The grid must be ascending within [0, 0.5]. Points are independent
-    and each uses the same seed. A failing point is recorded with an
+    The grid must be ascending within [0, 0.5]. Points are independent.
+    A failing point is recorded with an
     error status instead of aborting the sweep, and so is one whose
     relaxation solve did not converge (its upper bound is still
     certified), whose lower bound falls below the local bound (the
@@ -632,7 +516,7 @@ def sweep_epsilon(eps_grid, level=2, starts: int = DEFAULT_STARTS,
     def point(e: float) -> SweepRecord:
         try:
             local = local_max_score(e)
-            low = optimize_nonideal(e, starts=starts, seed=seed)
+            low = optimize_nonideal(e)
             up = npa.solve(npa.build_problem(level, e))
         except Exception as exc:  # per-point failures must not kill the sweep
             return SweepRecord(eps=e, local_bound=float("nan"),

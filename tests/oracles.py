@@ -52,14 +52,46 @@ NPA_LEVEL2 = {
     0.15: 0.485178962818,
 }
 
+# optimize_nonideal scores frozen from the 65-start search over
+# (alpha, beta, s00, s01, s11) under the two eps rows, which preceded the
+# search on the symmetric tight slice. Every winner of that search had
+# alpha = beta and e10 = e01 = eps to rounding.
+NONIDEAL_SCORES = {
+    1e-12: 0.10781340894103233,
+    1e-09: 0.10783457608261326,
+    1e-06: 0.10850485888211509,
+    0.001: 0.130603903231501,
+    0.02: 0.22305501597597388,
+    0.05: 0.30380712258861564,
+    0.08: 0.36687672763529006,
+    0.1: 0.4038632598668283,
+    0.15: 0.4851789628228643,
+    0.21: 0.5684370390862931,
+    0.3: 0.6732556736566756,
+    0.45: 0.8086566923389127,
+    0.5: 0.8446214175708106,
+}
+
 TSIRELSON = 2 * np.sqrt(2.0)
 
 # Standard output of `cabello` at fixed command lines, frozen byte for
 # byte from the code before its LP and minimizer moved into the layers
-# that call them. The sweep is the benchmark's grid at the default
-# starts and seed. Each command exits 0. A change that alters these
-# numbers on purpose updates them and says so.
+# that call them; the optimize and hardy lines from the code before the
+# minimizer lost its constraint rows. They print full repr floats of
+# seeded BFGS searches. The sweep is the benchmark's grid. Each command
+# exits 0. A change that alters these numbers on purpose updates them
+# and says so.
 CLI_STDOUT = {
+    ("optimize", "--mode", "ideal"):
+        '{"score": 0.1078127177489362, "params": {"alpha": 1.6135687875219897, '
+        '"beta": 1.61356878214122, "c": 0.5539063566458032, '
+        '"delta": 3.1415926936123193, "phi": 0.0, "xi": 0.0}, "e10": 0.0, '
+        '"e01": 0.0, "starts_used": 64, "converged": true}\n',
+    ("hardy",):
+        '{"score": 0.09016994374947426, "params": {"alpha": 1.8091137820682524, '
+        '"beta": 1.8091137806895539, "c": 0.4858682745166784, "delta": 0.0, '
+        '"phi": 0.0, "xi": 0.0}, "e10": 0.0, "e01": 0.0, "starts_used": 64, '
+        '"converged": true}\n',
     ("sweep", "--eps-min", "0", "--eps-max", "0.15", "--steps", "4"):
         "eps,local_bound,quantum_lower,quantum_upper,level,status\n"
         "0,0,0.107812717749,0.107812721607,2,ok\n"

@@ -71,6 +71,14 @@ def test_npa_has_no_solver_knobs(flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [["--starts", "8"], ["--seed", "5"]])
+def test_sweep_has_no_search_knobs(flag):
+    # the lower-bound search starts from a fixed grid, so nothing is seeded
+    with pytest.raises(SystemExit) as exc:
+        parse(["sweep", *flag])
+    assert exc.value.code == 2
+
+
 def test_local_bound_verb(capsys):
     code, out, err = run_cli(["local-bound", "--eps", "0.1"], capsys)
     assert code == 0
@@ -93,8 +101,7 @@ def test_optimize_ideal_verb(capsys):
 
 def test_optimize_nonideal_verb(capsys):
     code, out, err = run_cli(
-        ["optimize", "--mode", "nonideal", "--eps", "0.05", "--starts", "32"],
-        capsys)
+        ["optimize", "--mode", "nonideal", "--eps", "0.05"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["score"] - oracles.NPA_LEVEL2[0.05]) < 1e-5
@@ -229,11 +236,28 @@ def test_non_finite_input_is_usage_error(argv, message, capsys):
     assert err.startswith(f"{argv[0]}: {message}")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["optimize", "--eps", "0.3"], "--mode ideal takes no --eps"),
+    (["optimize", "--mode", "ideal", "--eps", "0"], "--mode ideal takes no --eps"),
+    (["optimize", "--mode", "nonideal", "--starts", "32"],
+     "--mode nonideal takes no --starts"),
+    (["optimize", "--mode", "nonideal", "--eps", "0.1", "--seed", "3"],
+     "--mode nonideal takes no --seed"),
+    (["optimize", "--mode", "nonideal", "--starts", "8", "--seed", "3"],
+     "--mode nonideal takes no --starts, --seed"),
+])
+def test_optimize_rejects_options_its_mode_ignores(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"optimize: {message}\n"
+
+
 def test_sweep_verb_writes_csv(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, out, err = run_cli(
         ["sweep", "--eps-min", "0", "--eps-max", "0.1", "--steps", "3",
-         "--starts", "8", "--out", str(out_path)], capsys)
+         "--out", str(out_path)], capsys)
     assert code == 0
     lines = out_path.read_text().strip().split("\n")
     assert lines[0] == ",".join(CSV_HEADER)
@@ -244,8 +268,7 @@ def test_sweep_verb_writes_csv(tmp_path, capsys):
 
 
 def test_sweep_stdout_and_determinism(capsys):
-    argv = ["sweep", "--eps-min", "0", "--eps-max", "0.04", "--steps", "2",
-            "--starts", "8", "--seed", "5"]
+    argv = ["sweep", "--eps-min", "0", "--eps-max", "0.04", "--steps", "2"]
     code_a, out_a, _ = run_cli(argv, capsys)
     code_b, out_b, _ = run_cli(argv, capsys)
     assert code_a == code_b == 0

@@ -1,4 +1,4 @@
-"""Tests for the SQP minimizer, the multistart searches and the
+"""Tests for the BFGS minimizer, the multistart searches and the
 epsilon sweep."""
 
 import dataclasses
@@ -51,18 +51,9 @@ def test_minimize_shifted_parabola():
     assert r.converged
 
 
-def test_minimize_active_inequality():
-    # min x^2 subject to x >= 1: the constraint is active at the optimum
-    r = minimize(lambda x: (x[0] ** 2, [2 * x[0]]), [3.0],
-                 cons=lambda x: ([x[0] - 1.0], [[1.0]]))
-    assert abs(r.x[0] - 1.0) < 1e-9
-    assert abs(r.fun - 1.0) < 1e-9
-    assert r.converged
-
-
 def test_minimize_iteration_cap_flag(monkeypatch):
-    # Rosenbrock needs far more than two SQP iterations from (-1.2, 1)
-    monkeypatch.setattr(optimize, "SQP_MAX_ITER", 2)
+    # Rosenbrock needs far more than two BFGS iterations from (-1.2, 1)
+    monkeypatch.setattr(optimize, "BFGS_MAX_ITER", 2)
 
     def rosenbrock(x):
         a, b = x
@@ -89,9 +80,9 @@ def test_minimize_bitwise_deterministic():
     assert a.nevals == b.nevals
 
 
-def test_no_nonideal_start_stalls_at_the_iteration_cap(monkeypatch):
-    # every start ends by the stopping test or by running out of descent,
-    # none by the cap; at eps = 1e-6 one start used to crawl to it
+def test_every_slice_descent_converges(monkeypatch):
+    # every descent of the slice search ends by the stopping test, none by
+    # running out of descent or by the iteration cap
     runs = []
 
     def recording(*args, **kwargs):
@@ -99,9 +90,20 @@ def test_no_nonideal_start_stalls_at_the_iteration_cap(monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(optimize, "minimize", recording)
-    optimize_nonideal(1e-6)
-    assert len(runs) == 65
-    assert all(r.converged or r.nit < optimize.SQP_MAX_ITER for r in runs)
+    for eps in (1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.1, 0.15, 0.3, 0.45, 0.5):
+        runs.clear()
+        r = optimize_nonideal(eps)
+        assert len(runs) == r.starts_used == 12
+        assert all(run.converged for run in runs), eps
+
+
+@pytest.mark.parametrize("eps", sorted(oracles.NONIDEAL_SCORES))
+def test_nonideal_reaches_the_frozen_scores(eps):
+    # the scores of the four-variable search over both angles, which the
+    # slice search replaced; 2e-15 is about ten ulp of the score
+    r = optimize_nonideal(eps)
+    assert abs(r.score - oracles.NONIDEAL_SCORES[eps]) <= 2e-15
+    assert r.e10 <= eps and r.e01 <= eps
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +212,7 @@ def test_nonideal_eps_zero_embeds_ideal(ideal):
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 1e-3])
 def test_nonideal_never_below_ideal_as_eps_vanishes(eps):
-    r = optimize_nonideal(eps, starts=4)
+    r = optimize_nonideal(eps)
     assert r.score >= oracles.OPT_SCORE - 1e-12
     assert r.e10 <= eps and r.e01 <= eps
     stats = _stats_from_ansatz(r.params)
@@ -246,18 +248,28 @@ def _central_jac(f, x, h=1e-6):
 
 def test_analytic_gradients_match_central_differences():
     # the value-and-gradient callables in their chart coordinates, which
-    # take every real, and the |m| <= sqrt(eps) rows of the nonideal search
+    # take every real (the slice chart is (u_a, theta) stretched tenfold);
+    # the slice search on both planes m = +-sqrt(eps) for eps in (0, 0.5]
     rng = np.random.default_rng(21)
-    rows = functools.partial(optimize._eps_rows, 0.1)
-    fused = (("ideal", optimize._ideal_neg, 4), ("nonideal", optimize._nonideal_neg, 4),
-             ("hardy", optimize._hardy_neg, 2))
-    for _ in range(50):
-        x = list(rng.uniform(-2 * np.pi, 2 * np.pi, size=4))
+    eps_draws = np.concatenate([[0.5, 1e-12], rng.uniform(0.0, 0.5, size=48)])
+    for eps in eps_draws:
+        x = list(rng.uniform(-20 * np.pi, 20 * np.pi, size=4))
+        fused = [("ideal", optimize._ideal_neg, 4), ("hardy", optimize._hardy_neg, 2)]
+        fused += [(f"slice {sigma} eps={eps!r}",
+                   functools.partial(optimize._slice_neg, float(eps), sigma), 2)
+                  for sigma in (1.0, -1.0)]
         for name, fun, n in fused:
             err = np.abs(_central_jac(lambda y: fun(y)[0], x[:n]) - fun(x[:n])[1]).max()
             assert err <= 1e-7, (name, x[:n], err)
-        err = np.abs(_central_jac(lambda y: rows(y)[0], x) - np.array(rows(x)[1])).max()
-        assert err <= 1e-7, ("eps rows", x, err)
+
+
+@pytest.mark.parametrize("sigma", [1.0, -1.0])
+def test_slice_gradient_finite_where_the_radius_vanishes(sigma):
+    # at eps = 1/2 the circle shrinks toward a point as alpha -> 0, which
+    # u_a = 0 reaches up to _EDGE; the radius and its partial stay finite
+    for theta in np.linspace(-np.pi, np.pi, 9):
+        value, grad = optimize._slice_neg(0.5, sigma, [0.0, float(theta)])
+        assert np.isfinite(value) and np.all(np.isfinite(grad)), theta
 
 
 def test_charts_keep_the_box_and_invert_the_seeded_draws():
@@ -270,28 +282,24 @@ def test_charts_keep_the_box_and_invert_the_seeded_draws():
         a = optimize._angle(float(u))
         assert optimize._EDGE <= a <= np.pi - optimize._EDGE, u
         MeasurementParams(alpha=a, beta=a)
-    # each start's seeded draws map into the charts through acos and back
+    # each start's seeded angle draws map into the chart through acos and back
     for k in range(64):
         rng = np.random.default_rng([0, k])
         for _ in range(2):
             a = rng.uniform(0.2, np.pi - 0.2)
             assert abs(optimize._angle(optimize._angle_inverse(a)) - a) <= 1e-15
-        t1, t2 = rng.uniform(0.1, np.pi / 2), rng.uniform(0.0, 2 * np.pi)
-        state = (np.cos(t1), np.sin(t1) * np.cos(t2) / np.sqrt(2), np.sin(t1) * np.sin(t2))
-        back = optimize._chart(*optimize._chart_inverse(*state))
-        assert np.abs(np.subtract(back, state)).max() <= 1e-15
 
 
 def test_nonideal_monotone_in_eps():
-    lo = optimize_nonideal(0.3, starts=16)
-    hi = optimize_nonideal(0.5, starts=16)
+    lo = optimize_nonideal(0.3)
+    hi = optimize_nonideal(0.5)
     assert hi.score >= lo.score - 1e-9
     assert hi.score <= 1.0 + 1e-12
 
 
 def test_nonideal_deterministic():
-    a = optimize_nonideal(0.07, starts=4, seed=11)
-    b = optimize_nonideal(0.07, starts=4, seed=11)
+    a = optimize_nonideal(0.07)
+    b = optimize_nonideal(0.07)
     assert a == b
 
 
@@ -334,7 +342,7 @@ def test_sweep_single_ideal_point():
 
 def test_sweep_grid_coincidence_and_monotonicity():
     grid = [0.0, 0.05, 0.10, 0.15]
-    recs = sweep_epsilon(grid, starts=32)
+    recs = sweep_epsilon(grid)
     lows = [r.quantum_lower for r in recs]
     for r in recs:
         assert r.status == "ok"
@@ -345,8 +353,7 @@ def test_sweep_grid_coincidence_and_monotonicity():
 
 
 def test_sweep_rows_keep_bound_order_on_benchmark_grid():
-    # the grid of the benchmark's sweep workload, at the default starts;
-    # the certified upper bound needs no slack against the lower bound
+    # the grid of the benchmark's sweep workload; the certified upper bound needs no slack against the lower bound
     for r in sweep_epsilon([0.0, 0.05, 0.1, 0.15]):
         assert r.status == "ok"
         assert r.local_bound <= r.quantum_lower <= r.quantum_upper
@@ -355,19 +362,19 @@ def test_sweep_rows_keep_bound_order_on_benchmark_grid():
 def test_sweep_flags_unconverged_and_inverted_upper(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(npa, "IPM_MAX_ITER", 2)
-        (r,) = sweep_epsilon([0.1], starts=4)
+        (r,) = sweep_epsilon([0.1])
     assert r.status == "error: npa MaxIter"
     assert r.quantum_upper >= r.quantum_lower  # still a certified bound
     solve = npa.solve  # with the real step cap again
     monkeypatch.setattr(npa, "solve", lambda p: dataclasses.replace(
         solve(p), value=0.0))
-    (r,) = sweep_epsilon([0.1], starts=4)
+    (r,) = sweep_epsilon([0.1])
     assert r.status == "error: quantum_upper below quantum_lower"
 
 
 def test_sweep_flags_lower_below_local():
     # the ansatz optimum falls below min(2 eps, 1) for eps above ~0.37
-    (r,) = sweep_epsilon([0.45], starts=4)
+    (r,) = sweep_epsilon([0.45])
     assert r.quantum_lower < r.local_bound
     assert r.status == "error: quantum_lower below local_bound"
 
