@@ -63,6 +63,8 @@ Word = tuple[str, ...]
 
 LEVELS = ("1", "1+AB", "2", "3")
 
+LETTERS = ("a0", "a1", "b0", "b1")
+
 DEFAULT_OBJECTIVE: Mapping[Word, float] = {("a1", "b1"): 1.0, ("a0", "b0"): -1.0}
 
 IPM_TOL = 1e-8      # residuals and duality gap at which solve() stops
@@ -226,19 +228,21 @@ class SDPSolution:
     gap: float
 
 
-def _assemble(words: list[Word], keyfn, slacks: bool, objective: Mapping[Word, float]):
+def _assemble(cells: list[list[Word]], kept: list[int], key: Mapping[Word, Word],
+              slacks: bool, objective: Mapping[Word, float]):
     """Class cells as a stack of 0/1 matrices, the equality rows
     (normalization, then the two slack rows when ``slacks``), the
     objective vector, the slack flag of every class and the class index
-    of every key. With slacks, the pseudo-words ('s1',), ('s2',) are two
-    diagonal cells appended to the words."""
-    n = len(words)
+    of every key. ``cells`` is the level's table of cell words, ``kept``
+    the indices of the words that span the matrix and ``key`` the class
+    key of every cell word. With slacks, the pseudo-words ('s1',),
+    ('s2',) are two diagonal cells appended to the kept words."""
+    n = len(kept)
     m = n + 2 * slacks
     classes: dict[Word, list[tuple[int, int]]] = {}
-    for i in range(n):
-        for j in range(n):
-            w = canonical(tuple(reversed(words[i])) + words[j])
-            classes.setdefault(keyfn(w), []).append((i, j))
+    for i, u in enumerate(kept):
+        for j, v in enumerate(kept):
+            classes.setdefault(key[cells[u][v]], []).append((i, j))
     if slacks:
         classes[("s1",)] = [(n, n)]
         classes[("s2",)] = [(n + 1, n + 1)]
@@ -246,9 +250,10 @@ def _assemble(words: list[Word], keyfn, slacks: bool, objective: Mapping[Word, f
     kidx = {k: i for i, k in enumerate(keys)}
 
     def row(coefs: Mapping[Word, float]) -> np.ndarray:
+        # every word here is a canonical cell word, or a slack pseudo-word
         r = np.zeros(len(keys))
         for w, cf in coefs.items():
-            r[kidx[w if (w and w[0][0] == "s") else keyfn(canonical(w))]] += cf
+            r[kidx[w if (w and w[0][0] == "s") else key[w]]] += cf
         return r
 
     rows = [row({(): 1.0})]
@@ -257,8 +262,8 @@ def _assemble(words: list[Word], keyfn, slacks: bool, objective: Mapping[Word, f
         rows.append(row({("b1",): 1.0, ("a0", "b1"): -1.0, ("s2",): 1.0}))
     # cells outside every class (moment-slack cross entries) stay zero
     E = np.zeros((len(keys), m, m))
-    for k, key in enumerate(keys):
-        for (i, j) in classes[key]:
+    for k, cls in enumerate(keys):
+        for (i, j) in classes[cls]:
             E[k, i, j] = 1.0
     slack = np.array([k in (("s1",), ("s2",)) for k in keys])
     return E, np.array(rows), row(objective), slack, kidx
@@ -271,6 +276,13 @@ class _Relaxation:
     matrix (the lift). eps only moves the right-hand side, so one
     object serves every eps at a level.
 
+    The table of cell words u^dag v is formed once for the full level.
+    A local table then keys each distinct cell word once, by its merged
+    class on the reduced route and by its plain class otherwise, so the
+    class keys cost one call per distinct word, not one per cell (level
+    3 has 85 distinct words in its 625 cells). The class cells, the
+    rows and the lift are read from these two tables.
+
     The objective is checked against the plain moments of the full
     level on every route: the reduced route alone would accept a word
     whose zero-face rewrite is a moment, e.g. a0 a1 b0 at level 1.
@@ -279,15 +291,18 @@ class _Relaxation:
     def __init__(self, level: str, reduced: bool, slacks: bool, objective):
         full = words_for_level(level)
         cells = [[canonical(tuple(reversed(u)) + v) for v in full] for u in full]
-        moments = {plain_key(w) for row in cells for w in row}
+        words = dict.fromkeys(w for row in cells for w in row)
+        # the table is closed under adjoints, so a canonical word has a
+        # plain moment exactly when it is a cell word
         for w, _ in objective:
-            if plain_key(w) not in moments:
+            if w not in words:
                 raise ValueError(f"word {w} has no moment at this level")
-        words = [w for w in full if strip_fix(w) == w] if reduced else full
         keyfn = merged_key if reduced else plain_key
-        self.E, self.A, self.c, self.slack, kidx = _assemble(words, keyfn, slacks,
+        key = {w: keyfn(w) for w in words}
+        kept = [i for i, w in enumerate(full) if not reduced or strip_fix(w) == w]
+        self.E, self.A, self.c, self.slack, kidx = _assemble(cells, kept, key, slacks,
                                                              dict(objective))
-        self.lift = np.array([[kidx[keyfn(w)] for w in row] for row in cells])
+        self.lift = np.array([[kidx[key[w]] for w in row] for row in cells])
 
 
 _relaxation_cache: dict[tuple, _Relaxation] = {}
@@ -308,10 +323,12 @@ def build_problem(level, eps: float | None = 0.0,
 
     eps = None drops the two inequality rows entirely (unconstrained
     maximization); otherwise eps must be nonnegative and appears only in
-    the right-hand sides. The objective maps words to coefficients; a
-    coefficient on the empty word adds a constant. The default picks
-    out the score. The relaxation that solve() uses is assembled here,
-    once per level, formulation and objective, and then cached.
+    the right-hand sides. The objective maps words over ``LETTERS`` to
+    finite coefficients; words with one canonical form add their
+    coefficients, and a coefficient on the empty word adds a constant.
+    The default picks out the score. The relaxation that solve() uses
+    is assembled here, once per level, formulation and objective, and
+    then cached.
     """
     lv = str(level)
     if lv not in LEVELS:
@@ -320,8 +337,16 @@ def build_problem(level, eps: float | None = 0.0,
         raise ValueError(f"eps must be finite and nonnegative or None, got {eps}")
     if objective is None:
         objective = DEFAULT_OBJECTIVE
-    objective = {canonical(w): float(cf) for w, cf in objective.items()}
-    p = NPAProblem(level=lv, eps=eps, objective=tuple(sorted(objective.items())))
+    summed: dict[Word, float] = {}
+    for w, cf in objective.items():
+        if not set(w) <= set(LETTERS):
+            raise ValueError(f"word {w!r} has a letter outside {LETTERS}")
+        cw = canonical(w)
+        summed[cw] = summed.get(cw, 0.0) + float(cf)
+    for w, cf in summed.items():
+        if not np.isfinite(cf):
+            raise ValueError(f"objective coefficient of {w} must be finite, got {cf}")
+    p = NPAProblem(level=lv, eps=eps, objective=tuple(sorted(summed.items())))
     _relaxation(p)  # checks the objective's words
     return p
 

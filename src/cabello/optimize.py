@@ -292,7 +292,7 @@ def ansatz_stats(a: float, b: float, s00: float, s01: float,
     return q, p, e10, e01
 
 
-# the starts (u_a, theta) of the slice search, run on both planes
+# the starts (u_a, theta) of the slice search, run on the plane sigma = +1
 _SLICE_STARTS = tuple((ua, th) for ua in (pi / 6, pi / 2, 5 * pi / 6)
                       for th in (pi / 2, 3 * pi / 2))
 # The slice descents run on _GAIN (q - p) in the chart _ROOT_GAIN (u_a, theta).
@@ -411,8 +411,12 @@ def optimize_nonideal(eps: float) -> OptResult:
     paper places the eps-robust optimum. Every point of the slice is an
     explicit two-qubit strategy, so the result is a valid lower bound
     whether or not the slice holds the optimum. One unconstrained
-    descent runs from each of the fixed starts ``_SLICE_STARTS`` on
-    each plane m = +-sqrt(eps), with the analytic gradient of q - p.
+    descent runs from each of the fixed starts ``_SLICE_STARTS`` on the
+    plane m = +sqrt(eps), with the analytic gradient of q - p. The plane
+    m = -sqrt(eps) adds nothing: q and p are even in the amplitudes, and
+    its point at (u_a, theta) is minus the point of the + plane at
+    (u_a, theta + pi), so its descents from the theta starts pi/2 and
+    3 pi/2 mirror those of the + plane from 3 pi/2 and pi/2.
     The closed forms can put an end point just outside the constraints
     by rounding, so every end point goes through the exact feasibility
     polish; the returned point satisfies e10, e01 <= eps in their
@@ -434,13 +438,11 @@ def optimize_nonideal(eps: float) -> OptResult:
         return p - q, (s00, s01, s11, a, a), conv, (e10, e01)
 
     cands = []
-    for sigma in (1.0, -1.0):
-        neg = functools.partial(_slice_neg, eps, sigma)
-        for x0 in _SLICE_STARTS:
-            res = minimize(neg, [_ROOT_GAIN * v for v in x0])
-            x = [v / _ROOT_GAIN for v in res.x]
-            cands.append(candidate(_angle(x[0]), _slice_terms(eps, sigma, x)[0],
-                                   res.converged))
+    neg = functools.partial(_slice_neg, eps, 1.0)
+    for x0 in _SLICE_STARTS:
+        res = minimize(neg, [_ROOT_GAIN * v for v in x0])
+        x = [v / _ROOT_GAIN for v in res.x]
+        cands.append(candidate(_angle(x[0]), _slice_terms(eps, 1.0, x)[0], res.converged))
     opt = analytic_optimum()
     cands.append(candidate(opt.alpha, _ideal_amplitudes(opt.alpha, opt.c), False))
     score, prm, conv, (e10, e01) = _best(cands)
@@ -448,7 +450,7 @@ def optimize_nonideal(eps: float) -> OptResult:
     params = {"s00": s00, "s01": s01, "s11": s11, "alpha": a, "beta": b,
               "phi": 0.0, "xi": 0.0}
     return OptResult(score=score, params=params, e10=e10, e01=e01,
-                     starts_used=2 * len(_SLICE_STARTS), converged=conv)
+                     starts_used=len(_SLICE_STARTS), converged=conv)
 
 
 # -- Hardy special case -------------------------------------------------

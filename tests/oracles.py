@@ -108,6 +108,10 @@ CLI_STDOUT = {
     ("local-bound", "--eps", "0.5"): "1\n",
     ("local-bound", "--eps", "0.6"): "1\n",
     ("local-bound", "--eps", "1e300"): "1\n",
+    # two more points of the benchmark's npa grid, appended so the ids of
+    # the entries above stay stable
+    ("npa", "--level", "2", "--eps", "0.4"): "0.853403314485\n",
+    ("npa", "--level", "3", "--eps", "0.15"): "0.48517897573\n",
 }
 
 

@@ -25,6 +25,10 @@ from cabello.npa import (
 import oracles
 
 LETTERS = ("a0", "a1", "b0", "b1")
+CHSH = {
+    ("a0", "b0"): 4.0, ("a0", "b1"): 4.0, ("a1", "b0"): 4.0,
+    ("a1", "b1"): -4.0, ("a0",): -4.0, ("b0",): -4.0, (): 2.0,
+}
 word_strategy = st.lists(st.sampled_from(LETTERS), max_size=6).map(tuple)
 
 
@@ -107,6 +111,102 @@ def test_one_assembly_per_relaxation(monkeypatch):
     assert len(calls) == 1
 
 
+def _per_cell_relaxation(level, reduced, slacks, objective):
+    """Reference assembly that forms the product and the class key of
+    every cell, once for the kept words and again for the lift; returns
+    E, A, c, the slack flags and the lift."""
+    full = words_for_level(level)
+    cells = [[canonical(tuple(reversed(u)) + v) for v in full] for u in full]
+    words = [w for w in full if npa.strip_fix(w) == w] if reduced else full
+    keyfn = npa.merged_key if reduced else plain_key
+    n = len(words)
+    m = n + 2 * slacks
+    classes = {}
+    for i in range(n):
+        for j in range(n):
+            w = canonical(tuple(reversed(words[i])) + words[j])
+            classes.setdefault(keyfn(w), []).append((i, j))
+    if slacks:
+        classes[("s1",)] = [(n, n)]
+        classes[("s2",)] = [(n + 1, n + 1)]
+    keys = sorted(classes, key=lambda k: (len(k), k))
+    kidx = {k: i for i, k in enumerate(keys)}
+
+    def row(coefs):
+        r = np.zeros(len(keys))
+        for w, cf in coefs.items():
+            r[kidx[w if (w and w[0][0] == "s") else keyfn(canonical(w))]] += cf
+        return r
+
+    rows = [row({(): 1.0})]
+    if slacks:
+        rows.append(row({("a1",): 1.0, ("a1", "b0"): -1.0, ("s1",): 1.0}))
+        rows.append(row({("b1",): 1.0, ("a0", "b1"): -1.0, ("s2",): 1.0}))
+    E = np.zeros((len(keys), m, m))
+    for k, key in enumerate(keys):
+        for (i, j) in classes[key]:
+            E[k, i, j] = 1.0
+    slack = np.array([k in (("s1",), ("s2",)) for k in keys])
+    lift = np.array([[kidx[keyfn(w)] for w in r] for r in cells])
+    return E, np.array(rows), row(dict(objective)), slack, lift
+
+
+# the two penalized probabilities, whose words share a class at eps = 0
+PENALTIES = {("a1",): 1.0, ("a1", "b0"): -1.0, ("b1",): 1.0, ("a0", "b1"): -1.0}
+
+
+@pytest.mark.parametrize("objective", [None, CHSH, PENALTIES],
+                         ids=["score", "chsh", "penalties"])
+@pytest.mark.parametrize("eps", [0.0, 0.1, None])
+@pytest.mark.parametrize("level", LEVELS)
+def test_assembly_equals_the_per_cell_reference(level, eps, objective):
+    p = build_problem(level, eps, objective)
+    rel = npa._relaxation(p)
+    want = _per_cell_relaxation(level, eps == 0.0, eps not in (None, 0.0), p.objective)
+    got = (rel.E, rel.A, rel.c, rel.slack, rel.lift)
+    for name, g, w in zip(("E", "A", "c", "slack", "lift"), got, want):
+        assert np.array_equal(g, w), name
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1, None])
+def test_assembly_keys_each_distinct_word_once(eps, monkeypatch):
+    # level 3 has 85 distinct cell words in 625 cells; each word function
+    # that keys classes runs at most once per distinct word
+    monkeypatch.setattr(npa, "_relaxation_cache", {})
+    calls = {"merged_key": [], "plain_key": []}
+    for name, log in calls.items():
+        fn = getattr(npa, name)
+        monkeypatch.setattr(npa, name, lambda w, fn=fn, log=log: log.append(w) or fn(w))
+    build_problem("3", eps)
+    full = words_for_level("3")
+    distinct = {canonical(tuple(reversed(u)) + v) for u in full for v in full}
+    assert len(distinct) == 85
+    for name, log in calls.items():
+        assert len(log) == len(set(log)) and set(log) <= distinct, name
+    assert len(calls["merged_key" if eps == 0.0 else "plain_key"]) == 85
+
+
+@pytest.mark.parametrize("objective", [{("x0",): 1.0}, {("a1", "z9"): 1.0, ("a0", "b0"): -1.0}],
+                         ids=["unknown-word", "unknown-letter"])
+def test_objective_with_unknown_letter_rejected(objective):
+    # canonical() drops such letters, which would turn x0 into the constant 1
+    with pytest.raises(ValueError, match="letter outside"):
+        build_problem("2", 0.0, objective)
+
+
+@pytest.mark.parametrize("cf", [float("nan"), float("inf")])
+def test_objective_with_non_finite_coefficient_rejected(cf):
+    with pytest.raises(ValueError, match="must be finite"):
+        build_problem("2", 0.0, {("a1", "b1"): cf, ("a0", "b0"): -1.0})
+
+
+def test_objective_coefficients_of_one_canonical_word_add():
+    # b0 a0 and a0 b0 are one moment, so this objective is 2 <a0 b0>
+    twice = build_problem("1", None, {("b0", "a0"): 1.0, ("a0", "b0"): 1.0})
+    assert twice.objective == build_problem("1", None, {("a0", "b0"): 2.0}).objective
+    assert abs(solve(twice).value - 2.0) < 1e-6
+
+
 @pytest.mark.parametrize("eps", [None, 0.0, 0.1])
 def test_word_without_moment_rejected_on_every_route(eps):
     # at eps = 0 the zero-face rewrite turns a0 a1 b0 into the level-1
@@ -116,11 +216,7 @@ def test_word_without_moment_rejected_on_every_route(eps):
 
 
 def test_chsh_reaches_tsirelson():
-    chsh = {
-        ("a0", "b0"): 4.0, ("a0", "b1"): 4.0, ("a1", "b0"): 4.0,
-        ("a1", "b1"): -4.0, ("a0",): -4.0, ("b0",): -4.0, (): 2.0,
-    }
-    sol = solve(build_problem("1", eps=None, objective=chsh))
+    sol = solve(build_problem("1", eps=None, objective=CHSH))
     assert sol.status == "Converged"
     assert abs(sol.value - oracles.TSIRELSON) < 1e-6
 

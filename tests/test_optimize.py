@@ -93,7 +93,7 @@ def test_every_slice_descent_converges(monkeypatch):
     for eps in (1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.1, 0.15, 0.3, 0.45, 0.5):
         runs.clear()
         r = optimize_nonideal(eps)
-        assert len(runs) == r.starts_used == 12
+        assert len(runs) == r.starts_used == 6
         assert all(run.converged for run in runs), eps
 
 
@@ -249,7 +249,7 @@ def _central_jac(f, x, h=1e-6):
 def test_analytic_gradients_match_central_differences():
     # the value-and-gradient callables in their chart coordinates, which
     # take every real (the slice chart is (u_a, theta) stretched tenfold);
-    # the slice search on both planes m = +-sqrt(eps) for eps in (0, 0.5]
+    # the slice chart on both planes m = +-sqrt(eps) for eps in (0, 0.5]
     rng = np.random.default_rng(21)
     eps_draws = np.concatenate([[0.5, 1e-12], rng.uniform(0.0, 0.5, size=48)])
     for eps in eps_draws:
