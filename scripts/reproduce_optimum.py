@@ -5,7 +5,7 @@ moment-relaxation upper bounds, the Hardy special case, and the
 self-test fidelity for a lumpy direct sum, each with the deviation
 from its reference.
 
-Usage: python3 scripts/reproduce_optimum.py [--starts N] [--seed S]
+Usage: python3 scripts/reproduce_optimum.py
 """
 
 import argparse
@@ -25,10 +25,7 @@ from cabello.selftest import assemble_direct_sum, verify_selftest
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--starts", type=int, default=64)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
 
     opt = analytic_optimum()
     print(f"closed-form score      {opt.score:.15f}")
@@ -36,7 +33,7 @@ def main() -> int:
     print(f"closed-form c          {opt.c:.15f}")
 
     t0 = time.perf_counter()
-    res = optimize_ideal(starts=args.starts, seed=args.seed)
+    res = optimize_ideal()
     dt = time.perf_counter() - t0
     print(f"multistart score       {res.score:.15f}"
           f"   (err {res.score - opt.score:+.2e}, {dt:.2f} s,"
@@ -55,7 +52,7 @@ def main() -> int:
         print(f"upper bound level {level}    {ub:.15f}"
               f"   (gap {ub - opt.score:+.2e}, {dt:.2f} s)")
 
-    hardy = optimize_hardy(starts=args.starts, seed=args.seed)
+    hardy = optimize_hardy()
     print(f"hardy maximum          {hardy.score:.15f}"
           f"   (expected {(5 * np.sqrt(5) - 11) / 2:.15f})")
 

@@ -3,9 +3,9 @@
 Verbs: verify-formula, optimize, local-bound, npa, sweep, selftest,
 hardy. Data goes to --out (default standard output), diagnostics to
 standard error. Exit codes: 0 success, 1 numerical failure, 2 usage
-error. The random starts of the ideal and Hardy searches and the draws
-of verify-formula flow from --seed; identical command lines give
-byte-identical output.
+error or an --out that cannot be written. Every search starts from a
+fixed grid and the draws of verify-formula flow from its --seed, so
+identical command lines give byte-identical output.
 """
 
 from __future__ import annotations
@@ -64,15 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     add_out(p)
 
-    # unset options stay out of the namespace, so that _run_optimize can
-    # reject the ones the mode does not use
-    p = sub.add_parser("optimize", help="multistart score maximization",
-                       argument_default=argparse.SUPPRESS)
+    p = sub.add_parser("optimize", help="multistart score maximization")
     p.add_argument("--mode", choices=["ideal", "nonideal"], default="ideal")
     p.add_argument("--eps", type=float,
                    help="constraint level for --mode nonideal (default 0)")
-    p.add_argument("--starts", type=int, help="random starts for --mode ideal")
-    p.add_argument("--seed", type=int, help="master seed for --mode ideal")
     add_out(p)
 
     p = sub.add_parser("local-bound", help="eps-constrained local polytope LP")
@@ -99,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
 
     p = sub.add_parser("hardy", help="maximum success with the extra zero constraint")
-    p.add_argument("--starts", type=int, default=optimize.DEFAULT_STARTS)
-    p.add_argument("--seed", type=int, default=optimize.DEFAULT_SEED)
     add_out(p)
 
     return ap
@@ -117,7 +110,7 @@ def parse(argv) -> Command:
     ns = _parser().parse_args(argv)
     opts = vars(ns).copy()
     verb = opts.pop("verb")
-    out = opts.pop("out", None)
+    out = opts.pop("out")
     return Command(verb=verb, options=opts, out=out)
 
 
@@ -169,14 +162,12 @@ def _run_verify_formula(o, out) -> int:
 
 
 def _run_optimize(o, out) -> int:
-    unused = ("eps",) if o["mode"] == "ideal" else ("starts", "seed")
-    given = [f"--{k}" for k in unused if k in o]
-    if given:
-        raise ValueError(f"--mode {o['mode']} takes no {', '.join(given)}")
     if o["mode"] == "ideal":
-        res = optimize.optimize_ideal(**{k: o[k] for k in ("starts", "seed") if k in o})
+        if o["eps"] is not None:
+            raise ValueError("--mode ideal takes no --eps")
+        res = optimize.optimize_ideal()
     else:
-        res = optimize.optimize_nonideal(o.get("eps", 0.0))
+        res = optimize.optimize_nonideal(o["eps"] or 0.0)
     _emit(res.to_json() + "\n", out)
     return 0
 
@@ -232,7 +223,7 @@ def _run_selftest(o, out) -> int:
 
 
 def _run_hardy(o, out) -> int:
-    res = optimize.optimize_hardy(starts=o["starts"], seed=o["seed"])
+    res = optimize.optimize_hardy()
     _emit(res.to_json() + "\n", out)
     return 0
 
@@ -252,7 +243,7 @@ def execute(cmd: Command) -> int:
     """Dispatch a parsed command; returns the process exit code."""
     try:
         return _DISPATCH[cmd.verb](cmd.options, cmd.out)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"{cmd.verb}: {exc}", file=sys.stderr)
         return 2
 

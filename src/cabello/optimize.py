@@ -15,10 +15,9 @@ constraint, for the nonideal search the two eps rows, and the box of
 every bounded angle (``_angle`` maps every real u into
 [_EDGE, pi - _EDGE]). So every descent is unconstrained.
 
-The ideal and Hardy searches draw each start's generator from the
-master seed and a counter; the nonideal search starts from a fixed
-grid. Results merge by maximal score with lexicographic parameter
-tie-break, so a run is a deterministic function of its arguments.
+Every search starts from a small fixed grid. Results merge by maximal
+score with lexicographic parameter tie-break, so a run is a
+deterministic function of its arguments.
 """
 
 from __future__ import annotations
@@ -27,11 +26,9 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from math import acos, cos, pi, sin, sqrt, tan
+from math import cos, pi, sin, sqrt, tan
 from operator import mul
 from typing import Callable, Sequence
-
-import numpy as np
 
 from . import npa
 from .qubit import (ConstrainedStateParams, MeasurementParams, analytic_optimum,
@@ -39,9 +36,6 @@ from .qubit import (ConstrainedStateParams, MeasurementParams, analytic_optimum,
 from .scenario import local_max_score
 
 TWO_PI = 2 * pi
-
-DEFAULT_STARTS = 64
-DEFAULT_SEED = 0
 
 BFGS_TOL = 1e-12     # stopping tolerance of every descent
 BFGS_MAX_ITER = 200  # iteration cap of every descent
@@ -184,11 +178,6 @@ def _angle(u: float) -> float:
     return pi / 2 - _HALF_SPAN * cos(u)
 
 
-def _angle_inverse(a: float) -> float:
-    """The u in [0, pi] that ``_angle`` maps to a."""
-    return acos((pi / 2 - a) / _HALF_SPAN)
-
-
 # -- ideal problem ------------------------------------------------------
 
 def _family_terms(a: float, b: float):
@@ -241,31 +230,28 @@ def _ceiling_w(a: float, b: float) -> float:
     return 1.0 + tan(a / 2) ** 2 + tan(b / 2) ** 2
 
 
-def optimize_ideal(starts: int = DEFAULT_STARTS, seed: int = DEFAULT_SEED) -> OptResult:
+# the starts (u_a, u_b, w, delta) of the ideal search: equal angles
+# alpha = beta near pi/4 and 3 pi/4, c at sin(pi/4) of its ceiling, and
+# the two delta where the phase term vanishes, one on each side of the
+# optimum at delta = pi
+_IDEAL_STARTS = tuple((u, u, pi / 2, d) for u in (pi / 3, 2 * pi / 3)
+                      for d in (pi / 2, 3 * pi / 2))
+
+
+def optimize_ideal() -> OptResult:
     """Maximize the closed-form score over (alpha, beta, c, delta).
 
     Searches the chart (u_a, u_b, w, delta) with alpha = ``_angle(u_a)``,
     beta = ``_angle(u_b)``, t = (pi/4)(1 - cos w) and
     c = sin t / sqrt(1 + tan^2(alpha/2) + tan^2(beta/2)), in which every
-    point is normalizable, by one BFGS descent per start with the
-    analytic gradient. Each start draws alpha, beta and delta uniformly
-    and t = asin(u), so that c is the fraction u of its ceiling, and
-    maps them into the chart. The reported score is
-    ``closed_form_score`` at the reported parameters. With a few dozen
-    starts the best point matches the analytic optimum to well below
-    1e-7.
+    point is normalizable, by one BFGS descent from each of the fixed
+    starts ``_IDEAL_STARTS`` with the analytic gradient. The reported
+    score is ``closed_form_score`` at the reported parameters; the best
+    point matches the analytic optimum to a few ulp.
     """
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
     cands = []
-    for k in range(starts):
-        rng = np.random.default_rng([seed, k])
-        a = rng.uniform(0.2, pi - 0.2)
-        b = rng.uniform(0.2, pi - 0.2)
-        t = math.asin(rng.uniform(0.1, 0.95))
-        d = rng.uniform(0.0, TWO_PI)
-        res = minimize(_ideal_neg, [_angle_inverse(a), _angle_inverse(b),
-                                    acos(1.0 - 4.0 * t / pi), d])
+    for x0 in _IDEAL_STARTS:
+        res = minimize(_ideal_neg, x0)
         ua, ub, w, d = res.x
         a, b, t = _angle(ua), _angle(ub), _ideal_t(w)
         c, d = sin(t) / sqrt(_ceiling_w(a, b)), d % TWO_PI
@@ -275,7 +261,7 @@ def optimize_ideal(starts: int = DEFAULT_STARTS, seed: int = DEFAULT_SEED) -> Op
     score, (a, b, c, d), conv = _best(cands)
     params = {"alpha": a, "beta": b, "c": c, "delta": d, "phi": 0.0, "xi": 0.0}
     return OptResult(score=score, params=params, e10=0.0, e01=0.0,
-                     starts_used=starts, converged=conv)
+                     starts_used=len(_IDEAL_STARTS), converged=conv)
 
 
 # -- nonideal problem ---------------------------------------------------
@@ -425,7 +411,8 @@ def optimize_nonideal(eps: float) -> OptResult:
     the ideal score down to about that eps; below, the polish collapses
     it. eps = 0 delegates to the ideal search, where the constraints hold
     identically (the polish rescale degenerates at eps = 0, collapsing
-    the off-diagonal amplitudes).
+    the off-diagonal amplitudes); the e10 and e01 it reports are the
+    closed forms at the ideal optimum, about 3e-33 by rounding.
     """
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"eps must lie in [0, 0.5], got {eps}")
@@ -462,25 +449,24 @@ def _hardy_neg(x):
     return -Q, [-d_a[1] * _HALF_SPAN * sin(ua), -d_b[1] * _HALF_SPAN * sin(ub)]
 
 
-def optimize_hardy(starts: int = DEFAULT_STARTS, seed: int = DEFAULT_SEED) -> OptResult:
+# the starts (u_a, u_b) of the Hardy search, with equal angles
+_HARDY_STARTS = tuple((u, u) for u in (pi / 3, 2 * pi / 3))
+
+
+def optimize_hardy() -> OptResult:
     """Maximize p with the additional constraint q = 0.
 
     Within the constrained family the zero constraint pins the |00>
     amplitude: c equals the normalizability ceiling, leaving a search
     over the two angles with
     p = sin^2(alpha/2) sin^2(beta/2) / (1 + tan^2(alpha/2) + tan^2(beta/2)),
-    one BFGS descent per start in the chart (u_a, u_b) with the analytic
-    gradient. The reported c is rounded up to where the normalizability
+    one BFGS descent from each of the fixed starts ``_HARDY_STARTS`` in
+    the chart (u_a, u_b) with the analytic gradient. The reported c is rounded up to where the normalizability
     radicand is not positive, so the |00> amplitude of the state is
     exactly zero.
     """
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
     cands = []
-    for k in range(starts):
-        rng = np.random.default_rng([seed, k])
-        x0 = [_angle_inverse(rng.uniform(0.2, pi - 0.2)),
-              _angle_inverse(rng.uniform(0.2, pi - 0.2))]
+    for x0 in _HARDY_STARTS:
         res = minimize(_hardy_neg, x0)
         ua, ub = res.x
         cands.append((-res.fun, (_angle(ua), _angle(ub)), res.converged))
@@ -491,7 +477,7 @@ def optimize_hardy(starts: int = DEFAULT_STARTS, seed: int = DEFAULT_SEED) -> Op
         c = math.nextafter(c, 2.0)
     params = {"alpha": a, "beta": b, "c": c, "delta": 0.0, "phi": 0.0, "xi": 0.0}
     return OptResult(score=score, params=params, e10=0.0, e01=0.0,
-                     starts_used=starts, converged=conv)
+                     starts_used=len(_HARDY_STARTS), converged=conv)
 
 
 # -- sweep --------------------------------------------------------------

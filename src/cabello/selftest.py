@@ -163,7 +163,9 @@ def extraction_isometry(da: int, db: int) -> ExtractionIsometry:
     completed to the ancilla-|1> sector by the canonical index-ordered
     choice |2k, 1> -> |2k+1, 0>, |2k+1, 1> -> |2k+1, 1>, which makes
     each party's map a permutation (hence exactly an isometry); the
-    completion never acts on assembled inputs.
+    completion never acts on assembled inputs. ``_ancilla_pair``
+    applies the ancilla-|0> sector as an index map instead of these
+    matrices.
     """
 
     def local(d: int) -> np.ndarray:
@@ -182,25 +184,30 @@ def extraction_isometry(da: int, db: int) -> ExtractionIsometry:
     return ExtractionIsometry(phi_a=local(da), phi_b=local(db))
 
 
+def _ancilla_pair(state: DirectSumState) -> np.ndarray:
+    """Reduced density matrix of the two ancillas after extraction.
+
+    The state tensored with |00> on the ancillas is pushed through
+    Phi_A (x) Phi_B of ``extraction_isometry`` and the system registers
+    are traced out. On the ancilla-|0> sector each map sends |2k+a>|0>
+    to |2k>|a>, so it is applied as that index map: the amplitude of
+    |2k+a, 2l+b> becomes that of ancillas |a, b> with junk |2k, 2l>, and
+    the odd junk indices stay empty.
+    """
+    na, nb = state.mu.shape
+    anc = state.vector().reshape(na, 2, nb, 2).transpose(1, 3, 0, 2).reshape(4, na * nb)
+    return anc @ anc.conj().T
+
+
 def verify_selftest(state: DirectSumState) -> IsometryReport:
     """Apply the extraction isometries and report the ancilla fidelity.
 
-    The state tensored with |00> on the ancillas is pushed through
-    Phi_A (x) Phi_B; the system registers are traced out and the
-    reduced ancilla pair is compared with the optimal two-qubit state
-    at the state's phases via the pure-reference overlap <ref|rho|ref>.
+    The reduced ancilla pair (``_ancilla_pair``) is compared with the
+    optimal two-qubit state at the state's phases via the pure-reference
+    overlap <ref|rho|ref>.
     """
     na, nb = state.mu.shape
-    da, db = state.dims
-    iso = extraction_isometry(da, db)
-    chi = state.vector().reshape(da, db)
-    full = np.zeros((da, 2, db, 2), dtype=complex)
-    full[:, 0, :, 0] = chi
-    flat = full.reshape(da * 2, db * 2)
-    flat = iso.phi_a @ flat @ iso.phi_b.T
-    v4 = flat.reshape(da, 2, db, 2)
-    anc = np.transpose(v4, (1, 3, 0, 2)).reshape(4, da * db)
-    rho = anc @ anc.conj().T
+    rho = _ancilla_pair(state)
     ref = optimal_block_state(state.phi, state.xi)
     fid = float(np.real(np.vdot(ref, rho @ ref)))
     fid = min(max(fid, 0.0), 1.0)
@@ -211,4 +218,4 @@ def verify_selftest(state: DirectSumState) -> IsometryReport:
                 ov = min(abs(np.vdot(ref, state.block_states[i, j])) ** 2, 1.0)
                 blocks.append({"i": i, "j": j, "weight": float(state.mu[i, j]),
                                "overlap": float(ov)})
-    return IsometryReport(fidelity=fid, junk_dims=(da, db), blocks=tuple(blocks))
+    return IsometryReport(fidelity=fid, junk_dims=state.dims, blocks=tuple(blocks))

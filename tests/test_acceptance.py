@@ -54,7 +54,7 @@ def _stats(p: ConstrainedStateParams):
 @pytest.fixture(scope="module")
 def ideal_run():
     t0 = time.perf_counter()
-    res = optimize_ideal(starts=64, seed=0)
+    res = optimize_ideal()
     return res, time.perf_counter() - t0
 
 

@@ -42,10 +42,10 @@ def test_parse_sweep_defaults():
 
 
 def test_parse_optimize_ideal():
-    cmd = parse(["optimize", "--mode", "ideal", "--seed", "42"])
+    cmd = parse(["optimize", "--mode", "ideal"])
     assert cmd.verb == "optimize"
-    assert cmd.options["mode"] == "ideal"
-    assert cmd.options["seed"] == 42
+    assert cmd.options == {"mode": "ideal", "eps": None}
+    assert cmd.out is None
 
 
 def test_parse_rejects_unsupported_level():
@@ -73,10 +73,12 @@ def test_npa_has_no_solver_knobs(flag):
 
 @pytest.mark.parametrize("flag", [["--starts", "8"], ["--seed", "5"]])
 def test_sweep_has_no_search_knobs(flag):
-    # the lower-bound search starts from a fixed grid, so nothing is seeded
-    with pytest.raises(SystemExit) as exc:
-        parse(["sweep", *flag])
-    assert exc.value.code == 2
+    # every search starts from a fixed grid, so nothing is seeded
+    for verb in (["sweep"], ["optimize", "--mode", "ideal"],
+                 ["optimize", "--mode", "nonideal"], ["hardy"]):
+        with pytest.raises(SystemExit) as exc:
+            parse([*verb, *flag])
+        assert exc.value.code == 2, verb
 
 
 def test_local_bound_verb(capsys):
@@ -200,7 +202,7 @@ def test_npa_eps_above_one_gives_the_eps_one_bound(eps, capsys):
 
 
 def test_hardy_verb(capsys):
-    code, out, err = run_cli(["hardy", "--starts", "16"], capsys)
+    code, out, err = run_cli(["hardy"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["score"] - oracles.HARDY_MAX) < 1e-6
@@ -239,18 +241,23 @@ def test_non_finite_input_is_usage_error(argv, message, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["optimize", "--eps", "0.3"], "--mode ideal takes no --eps"),
     (["optimize", "--mode", "ideal", "--eps", "0"], "--mode ideal takes no --eps"),
-    (["optimize", "--mode", "nonideal", "--starts", "32"],
-     "--mode nonideal takes no --starts"),
-    (["optimize", "--mode", "nonideal", "--eps", "0.1", "--seed", "3"],
-     "--mode nonideal takes no --seed"),
-    (["optimize", "--mode", "nonideal", "--starts", "8", "--seed", "3"],
-     "--mode nonideal takes no --starts, --seed"),
 ])
 def test_optimize_rejects_options_its_mode_ignores(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
     assert err == f"optimize: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["local-bound", "--eps", "0.1"],
+                                  ["sweep", "--eps-max", "0", "--steps", "1"]])
+@pytest.mark.parametrize("target", ["missing parent", "directory"])
+def test_unwritable_out_is_usage_error(argv, target, tmp_path, capsys):
+    path = tmp_path / "absent" / "x" if target == "missing parent" else tmp_path
+    code, out, err = run_cli([*argv, "--out", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{argv[0]}: [Errno ")
 
 
 def test_sweep_verb_writes_csv(tmp_path, capsys):

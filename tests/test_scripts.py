@@ -14,8 +14,7 @@ def test_reproduce_optimum_runs_without_warnings():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-W", "error", str(ROOT / "scripts" / "reproduce_optimum.py"),
-         "--starts", "4"],
+        [sys.executable, "-W", "error", str(ROOT / "scripts" / "reproduce_optimum.py")],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     hardy = [line for line in proc.stdout.splitlines() if line.startswith("hardy maximum")]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cabello import selftest
 from cabello.qubit import analytic_optimum
 from cabello.scenario import behavior_from_quantum, cabello_stats
 from cabello.selftest import (
@@ -88,6 +89,28 @@ def test_extraction_isometry_rejects_odd_dims():
         extraction_isometry(3, 2)
     with pytest.raises(OddDimensionError):
         extraction_isometry(2, 5)
+
+
+def test_index_map_equals_the_isometry_matrices():
+    # the ancilla pair of verify_selftest against pushing the state and
+    # |00> through the permutation matrices of extraction_isometry; random
+    # block states and weights on every block pair, nonzero phases
+    rng = np.random.default_rng(17)
+    for na, nb in ((1, 1), (1, 3), (2, 2), (3, 2), (4, 1), (3, 5)):
+        mu = rng.uniform(0.1, 1.0, size=(na, nb))
+        mu /= mu.sum()
+        bs = rng.normal(size=(na, nb, 4)) + 1j * rng.normal(size=(na, nb, 4))
+        bs /= np.linalg.norm(bs, axis=2, keepdims=True)
+        phi, xi = rng.uniform(0.1, 2 * np.pi, size=2)
+        state = DirectSumState(mu=mu, block_states=bs, phi=phi, xi=xi)
+        da, db = state.dims
+        iso = extraction_isometry(da, db)
+        full = np.zeros((da, 2, db, 2), dtype=complex)
+        full[:, 0, :, 0] = state.vector().reshape(da, db)
+        out = iso.phi_a @ full.reshape(2 * da, 2 * db) @ iso.phi_b.T
+        anc = out.reshape(da, 2, db, 2).transpose(1, 3, 0, 2).reshape(4, da * db)
+        want = anc @ anc.conj().T
+        assert np.abs(selftest._ancilla_pair(state) - want).max() <= 1e-15, (na, nb)
 
 
 def test_verify_trivial_direct_sum():
