@@ -114,14 +114,6 @@ def parse(argv) -> Command:
     return Command(verb=verb, options=opts, out=out)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
 def _uniform(u, low, high):
     """Map draws u in [0, 1) as ``Generator.uniform(low, high)`` does."""
     return low + (high - low) * u
@@ -151,9 +143,9 @@ def _run_verify_formula(o, out) -> int:
         st = scenario.cabello_stats(beh)
         worst_dev = max(worst_dev, float(np.abs(st.score - closed).max()))
         worst_leak = max(worst_leak, float(st.e10.max()), float(st.e01.max()))
-    _emit(json.dumps({"samples": o["samples"],
-                      "max_score_deviation": worst_dev,
-                      "max_constraint_probability": worst_leak}) + "\n", out)
+    out.write(json.dumps({"samples": o["samples"],
+                          "max_score_deviation": worst_dev,
+                          "max_constraint_probability": worst_leak}) + "\n")
     if worst_dev >= _EQUIV_THRESHOLD or worst_leak >= 1e-12:
         print(f"equivalence check failed: deviation {worst_dev:.3e}, "
               f"leak {worst_leak:.3e}", file=sys.stderr)
@@ -168,12 +160,12 @@ def _run_optimize(o, out) -> int:
         res = optimize.optimize_ideal()
     else:
         res = optimize.optimize_nonideal(o["eps"] or 0.0)
-    _emit(res.to_json() + "\n", out)
+    out.write(res.to_json() + "\n")
     return 0
 
 
 def _run_local_bound(o, out) -> int:
-    _emit(_fmt(scenario.local_max_score(o["eps"])) + "\n", out)
+    out.write(_fmt(scenario.local_max_score(o["eps"])) + "\n")
     return 0
 
 
@@ -182,7 +174,7 @@ def _run_npa(o, out) -> int:
     print(f"level={o['level']} eps={_fmt(o['eps'])} status={sol.status} "
           f"iterations={sol.iterations} primal={sol.primal_residual:.3e} "
           f"dual={sol.dual_residual:.3e} gap={sol.gap:.3e}", file=sys.stderr)
-    _emit(_fmt(sol.value) + "\n", out)
+    out.write(_fmt(sol.value) + "\n")
     return 0 if sol.status == "Converged" else 1
 
 
@@ -204,7 +196,7 @@ def _run_sweep(o, out) -> int:
     lo, hi = o["eps_min"], o["eps_max"]
     grid = np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
     records = optimize.sweep_epsilon(grid, level=o["level"])
-    _emit(sweep_to_csv(records), out)
+    out.write(sweep_to_csv(records))
     bad = [r for r in records if r.status != "ok"]
     for r in bad:
         print(f"sweep point eps={_fmt(r.eps)}: {r.status}", file=sys.stderr)
@@ -215,7 +207,7 @@ def _run_selftest(o, out) -> int:
     weights = [float(x) for x in str(o["weights"]).split(",") if x != ""]
     state = selftest.assemble_direct_sum(weights, phases=(o["phi"], o["xi"]))
     rep = selftest.verify_selftest(state)
-    _emit(rep.to_json() + "\n", out)
+    out.write(rep.to_json() + "\n")
     if rep.fidelity < _FID_THRESHOLD:
         print(f"fidelity {rep.fidelity:.12f} below {_FID_THRESHOLD}", file=sys.stderr)
         return 1
@@ -224,7 +216,7 @@ def _run_selftest(o, out) -> int:
 
 def _run_hardy(o, out) -> int:
     res = optimize.optimize_hardy()
-    _emit(res.to_json() + "\n", out)
+    out.write(res.to_json() + "\n")
     return 0
 
 
@@ -240,9 +232,14 @@ _DISPATCH = {
 
 
 def execute(cmd: Command) -> int:
-    """Dispatch a parsed command; returns the process exit code."""
+    """Dispatch a parsed command; returns the process exit code. --out is
+    opened before the verb runs: an unwritable path fails before any work,
+    and a verb that fails after the open leaves the file empty."""
     try:
-        return _DISPATCH[cmd.verb](cmd.options, cmd.out)
+        if cmd.out is None:
+            return _DISPATCH[cmd.verb](cmd.options, sys.stdout)
+        with open(cmd.out, "w") as out:
+            return _DISPATCH[cmd.verb](cmd.options, out)
     except (ValueError, OSError) as exc:
         print(f"{cmd.verb}: {exc}", file=sys.stderr)
         return 2

@@ -54,6 +54,7 @@ moment matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -195,11 +196,11 @@ class NPAProblem:
     """A validated relaxation: level, eps and the objective as sorted
     (canonical word, coefficient) pairs. eps enters only through the
     right-hand sides at solve time; the assembled relaxation is cached
-    per level, formulation and objective.
+    per level, route and objective.
     """
 
     level: str
-    eps: float | None
+    eps: float
     objective: tuple[tuple[Word, float], ...]
 
 
@@ -228,81 +229,72 @@ class SDPSolution:
     gap: float
 
 
-def _assemble(cells: list[list[Word]], kept: list[int], key: Mapping[Word, Word],
-              slacks: bool, objective: Mapping[Word, float]):
-    """Class cells as a stack of 0/1 matrices, the equality rows
-    (normalization, then the two slack rows when ``slacks``), the
-    objective vector, the slack flag of every class and the class index
-    of every key. ``cells`` is the level's table of cell words, ``kept``
-    the indices of the words that span the matrix and ``key`` the class
-    key of every cell word. With slacks, the pseudo-words ('s1',),
-    ('s2',) are two diagonal cells appended to the kept words."""
-    n = len(kept)
-    m = n + 2 * slacks
-    classes: dict[Word, list[tuple[int, int]]] = {}
-    for i, u in enumerate(kept):
-        for j, v in enumerate(kept):
-            classes.setdefault(key[cells[u][v]], []).append((i, j))
-    if slacks:
-        classes[("s1",)] = [(n, n)]
-        classes[("s2",)] = [(n + 1, n + 1)]
-    keys = sorted(classes, key=lambda k: (len(k), k))
-    kidx = {k: i for i, k in enumerate(keys)}
-
-    def row(coefs: Mapping[Word, float]) -> np.ndarray:
-        # every word here is a canonical cell word, or a slack pseudo-word
-        r = np.zeros(len(keys))
-        for w, cf in coefs.items():
-            r[kidx[w if (w and w[0][0] == "s") else key[w]]] += cf
-        return r
-
-    rows = [row({(): 1.0})]
-    if slacks:
-        rows.append(row({("a1",): 1.0, ("a1", "b0"): -1.0, ("s1",): 1.0}))
-        rows.append(row({("b1",): 1.0, ("a0", "b1"): -1.0, ("s2",): 1.0}))
-    # cells outside every class (moment-slack cross entries) stay zero
-    E = np.zeros((len(keys), m, m))
-    for k, cls in enumerate(keys):
-        for (i, j) in classes[cls]:
-            E[k, i, j] = 1.0
-    slack = np.array([k in (("s1",), ("s2",)) for k in keys])
-    return E, np.array(rows), row(objective), slack, kidx
+@functools.cache
+def _table(level: str) -> tuple[list[Word], dict[Word, int], np.ndarray]:
+    """The level's words, its distinct cell words u^dag v (in first-seen
+    order, each mapped to its position) and the position of every cell's
+    word. Formed once per level and shared by both routes; level 3 has
+    85 distinct words in its 625 cells."""
+    full = words_for_level(level)
+    words: dict[Word, int] = {}
+    cell = np.array([[words.setdefault(canonical(tuple(reversed(u)) + v), len(words))
+                      for v in full] for u in full])
+    return full, words, cell
 
 
 class _Relaxation:
-    """One assembled relaxation: class cells as a stack of 0/1 matrices,
-    equality rows, objective, the slack classes (certificate bound
-    1 + eps) and the class of every cell of the level's full moment
-    matrix (the lift). eps only moves the right-hand side, so one
-    object serves every eps at a level.
+    """One assembled relaxation: class cells as a stack of 0/1 matrices
+    ``E``, equality rows ``A`` (normalization, then the two slack rows
+    off the reduced route), objective ``c``, the slack classes
+    (certificate bound 1 + eps) and the class of every cell of the
+    level's full moment matrix (the lift). eps only moves the right-hand
+    side, so one object serves every eps of a route at a level.
 
-    The table of cell words u^dag v is formed once for the full level.
-    A local table then keys each distinct cell word once, by its merged
-    class on the reduced route and by its plain class otherwise, so the
-    class keys cost one call per distinct word, not one per cell (level
-    3 has 85 distinct words in its 625 cells). The class cells, the
-    rows and the lift are read from these two tables.
+    Each distinct cell word is keyed once, by its merged class on the
+    reduced route and by its plain class otherwise, where the
+    pseudo-words ('s1',), ('s2',) key two appended diagonal cells. Every
+    array is read from the one table of class indices this gives.
 
     The objective is checked against the plain moments of the full
     level on every route: the reduced route alone would accept a word
     whose zero-face rewrite is a moment, e.g. a0 a1 b0 at level 1.
     """
 
-    def __init__(self, level: str, reduced: bool, slacks: bool, objective):
-        full = words_for_level(level)
-        cells = [[canonical(tuple(reversed(u)) + v) for v in full] for u in full]
-        words = dict.fromkeys(w for row in cells for w in row)
+    def __init__(self, level: str, reduced: bool, objective):
+        full, words, cell = _table(level)
         # the table is closed under adjoints, so a canonical word has a
         # plain moment exactly when it is a cell word
         for w, _ in objective:
             if w not in words:
                 raise ValueError(f"word {w} has no moment at this level")
         keyfn = merged_key if reduced else plain_key
-        key = {w: keyfn(w) for w in words}
+        slacks = [] if reduced else [("s1",), ("s2",)]
+        key = [keyfn(w) for w in words] + slacks
         kept = [i for i, w in enumerate(full) if not reduced or strip_fix(w) == w]
-        self.E, self.A, self.c, self.slack, kidx = _assemble(cells, kept, key, slacks,
-                                                             dict(objective))
-        self.lift = np.array([[kidx[key[w]] for w in row] for row in cells])
+        inner = cell[np.ix_(kept, kept)]
+        keys = sorted({key[i] for i in inner.flat}.union(slacks), key=lambda k: (len(k), k))
+        kidx = {k: i for i, k in enumerate(keys)}
+        cls = np.array([kidx[k] for k in key])
+        # class index of every matrix cell; -1 on the moment-slack cross cells
+        n, m = len(kept), len(kept) + len(slacks)
+        idx = np.full((m, m), -1)
+        idx[:n, :n] = cls[inner]
+        idx[range(n, m), range(n, m)] = cls[len(words):]
+        self.E = (idx == np.arange(len(keys))[:, None, None]).astype(float)
+        self.slack = np.array([k in slacks for k in keys])
+        self.lift = cls[cell]
+        at = dict(zip([*words, *slacks], cls))
+
+        def row(coefs) -> np.ndarray:
+            r = np.zeros(len(keys))
+            for w, cf in coefs:
+                r[at[w]] += cf
+            return r
+
+        rows = [{(): 1.0}, {("a1",): 1.0, ("a1", "b0"): -1.0, ("s1",): 1.0},
+                {("b1",): 1.0, ("a0", "b1"): -1.0, ("s2",): 1.0}]
+        self.A = np.array([row(r.items()) for r in rows[:1 + len(slacks)]])
+        self.c = row(objective)
 
 
 _relaxation_cache: dict[tuple, _Relaxation] = {}
@@ -310,31 +302,30 @@ _relaxation_cache: dict[tuple, _Relaxation] = {}
 
 def _relaxation(p: NPAProblem) -> _Relaxation:
     """The cached relaxation that solves p: reduced at eps = 0, with the
-    slack rows at eps > 0, with neither at eps = None."""
-    key = (p.level, p.eps == 0.0, p.eps not in (None, 0.0), p.objective)
+    slack rows at eps > 0."""
+    key = (p.level, p.eps == 0.0, p.objective)
     if key not in _relaxation_cache:
         _relaxation_cache[key] = _Relaxation(*key)
     return _relaxation_cache[key]
 
 
-def build_problem(level, eps: float | None = 0.0,
+def build_problem(level, eps: float = 0.0,
                   objective: Mapping[Word, float] | None = None) -> NPAProblem:
     """Validate a moment relaxation at a hierarchy level.
 
-    eps = None drops the two inequality rows entirely (unconstrained
-    maximization); otherwise eps must be nonnegative and appears only in
-    the right-hand sides. The objective maps words over ``LETTERS`` to
-    finite coefficients; words with one canonical form add their
-    coefficients, and a coefficient on the empty word adds a constant.
-    The default picks out the score. The relaxation that solve() uses
-    is assembled here, once per level, formulation and objective, and
-    then cached.
+    eps must be finite and nonnegative and appears only in the
+    right-hand sides; any eps >= 1 is unconstrained maximization (see
+    solve). The objective maps words over ``LETTERS`` to finite
+    coefficients; words with one canonical form add their coefficients,
+    and a coefficient on the empty word adds a constant. The default
+    picks out the score. The relaxation that solve() uses is assembled
+    here, once per level, route and objective, and then cached.
     """
     lv = str(level)
     if lv not in LEVELS:
         raise UnsupportedLevelError(f"level must be one of {LEVELS}, got {level!r}")
-    if eps is not None and not 0.0 <= eps < np.inf:
-        raise ValueError(f"eps must be finite and nonnegative or None, got {eps}")
+    if eps is None or not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     if objective is None:
         objective = DEFAULT_OBJECTIVE
     summed: dict[Word, float] = {}
@@ -422,12 +413,13 @@ def solve(p: NPAProblem) -> SDPSolution:
     the status is not "Converged". The eps rows' right-hand side is
     min(eps, 1): every level's moment matrix bounds each constrained
     probability <x (1 - y)> by |x| |1 - y| <= 1, so for eps >= 1 the rows
-    are vacuous and the relaxation equals the one at eps = 1.
+    are vacuous: eps = 1 is unconstrained maximization, and every larger
+    eps gives the same relaxation.
     """
     rel = _relaxation(p)
-    e = min(p.eps or 0.0, 1.0)
-    # the reduced and eps = None problems keep only the normalization row
-    d = np.array([1.0, e, e]) if rel.slack.any() else np.ones(1)
+    e = min(p.eps, 1.0)
+    # the reduced problem keeps only the normalization row
+    d = np.array([1.0, e, e][:len(rel.A)])
     y, lam, Z, pres, dres, it, status = _ipm(rel, d)
     w, V = np.linalg.eigh(Z)
     z_plus = (V * np.maximum(w, 0.0)) @ V.T
@@ -439,9 +431,9 @@ def solve(p: NPAProblem) -> SDPSolution:
                        gap=value - float(rel.c @ y))
 
 
-def npa_upper_bound(level, eps: float | None = 0.0) -> float:
+def npa_upper_bound(level, eps: float = 0.0) -> float:
     """Certified upper bound on the score at a hierarchy level: build
-    then solve. The assembled relaxation is cached per level and
-    formulation, so sweeping eps at a fixed level never re-assembles.
+    then solve. The assembled relaxation is cached per level and route,
+    so sweeping eps at a fixed level never re-assembles.
     """
     return solve(build_problem(level, eps)).value

@@ -407,12 +407,17 @@ def optimize_nonideal(eps: float) -> OptResult:
     by rounding, so every end point goes through the exact feasibility
     polish; the returned point satisfies e10, e01 <= eps in their
     closed forms. The analytic eps = 0 optimum is one more candidate,
-    unoptimized. Its closed-form e10 = e01 is about 3e-33, so it keeps
-    the ideal score down to about that eps; below, the polish collapses
-    it. eps = 0 delegates to the ideal search, where the constraints hold
-    identically (the polish rescale degenerates at eps = 0, collapsing
-    the off-diagonal amplitudes); the e10 and e01 it reports are the
-    closed forms at the ideal optimum, about 3e-33 by rounding.
+    unoptimized. Its closed-form e10 = e01 is about 3e-33 by rounding,
+    so it keeps the ideal score down to about that eps; below, the
+    polish collapses it, and with it every descent whose end point has
+    closed forms of that size (4 of the 6 from eps = 1e-40 down). The
+    ideal score still reported there comes from the descents whose
+    closed-form e10 and e01 round to exactly 0.0: it holds by rounding,
+    not by design (ROADMAP item 11). eps = 0 delegates to the ideal
+    search, where the constraints hold identically (the polish rescale
+    degenerates at eps = 0, collapsing the off-diagonal amplitudes); the
+    e10 and e01 it reports are the closed forms at the ideal optimum,
+    about 3e-33 by rounding.
     """
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"eps must lie in [0, 0.5], got {eps}")

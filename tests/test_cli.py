@@ -260,6 +260,25 @@ def test_unwritable_out_is_usage_error(argv, target, tmp_path, capsys):
     assert err.startswith(f"{argv[0]}: [Errno ")
 
 
+def test_unwritable_out_fails_before_the_sweep_runs(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the grid ran before --out was opened")
+
+    monkeypatch.setattr(cli.optimize, "sweep_epsilon", fail)
+    code, out, err = run_cli(["sweep", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("sweep: [Errno ")
+
+
+def test_verb_failing_after_the_open_leaves_an_empty_out(tmp_path, capsys):
+    path = tmp_path / "sweep.csv"
+    code, out, err = run_cli(["sweep", "--steps", "0", "--out", str(path)], capsys)
+    assert code == 2
+    assert err == "sweep: --steps must be >= 1\n"
+    assert path.read_text() == ""
+
+
 def test_sweep_verb_writes_csv(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, out, err = run_cli(

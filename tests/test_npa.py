@@ -90,25 +90,40 @@ def test_eps_enters_rhs_only(monkeypatch):
 
 def test_problem_shape_with_and_without_slacks(monkeypatch):
     monkeypatch.setattr(npa, "_relaxation_cache", {})
-    for eps in (0.1, 0.2, None):
+    for eps in (0.1, 0.2, 0.0):
         build_problem("1", eps=eps)
     # eps 0.1 and 0.2 share the first relaxation
-    slack, plain = npa._relaxation_cache.values()
+    slack, reduced = npa._relaxation_cache.values()
     # two slack diagonal cells and two inequality rows appended
     assert slack.E.shape[1:] == (7, 7) and slack.A.shape[0] == 3
-    assert plain.E.shape[1:] == (5, 5) and plain.A.shape[0] == 1
-    for eps in (0.1, None):
+    # the presolve drops the slacks and keeps only the normalization row
+    assert reduced.E.shape[1:] == (5, 5) and reduced.A.shape[0] == 1
+    for eps in (0.1, 0.0):
         assert solve(build_problem("1", eps=eps)).moment_matrix.shape == (5, 5)
 
 
 def test_one_assembly_per_relaxation(monkeypatch):
     monkeypatch.setattr(npa, "_relaxation_cache", {})
     calls = []
-    assemble = npa._assemble
-    monkeypatch.setattr(npa, "_assemble", lambda *a: calls.append(a) or assemble(*a))
+    relaxation = npa._Relaxation
+    monkeypatch.setattr(npa, "_Relaxation", lambda *a: calls.append(a) or relaxation(*a))
     for eps in (0.05, 0.1, 0.15, 0.2, 0.25):
         solve(build_problem("2", eps=eps))
     assert len(calls) == 1
+
+
+def test_one_cell_table_per_level(monkeypatch):
+    # the reduced and the slack route share the level's word list and
+    # cell table
+    monkeypatch.setattr(npa, "_relaxation_cache", {})
+    npa._table.cache_clear()
+    calls = []
+    words = npa.words_for_level
+    monkeypatch.setattr(npa, "words_for_level", lambda lv: calls.append(lv) or words(lv))
+    build_problem("3", 0.0)
+    build_problem("3", 0.05)
+    assert len(npa._relaxation_cache) == 2
+    assert calls == ["3"]
 
 
 def _per_cell_relaxation(level, reduced, slacks, objective):
@@ -157,18 +172,18 @@ PENALTIES = {("a1",): 1.0, ("a1", "b0"): -1.0, ("b1",): 1.0, ("a0", "b1"): -1.0}
 
 @pytest.mark.parametrize("objective", [None, CHSH, PENALTIES],
                          ids=["score", "chsh", "penalties"])
-@pytest.mark.parametrize("eps", [0.0, 0.1, None])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
 @pytest.mark.parametrize("level", LEVELS)
 def test_assembly_equals_the_per_cell_reference(level, eps, objective):
     p = build_problem(level, eps, objective)
     rel = npa._relaxation(p)
-    want = _per_cell_relaxation(level, eps == 0.0, eps not in (None, 0.0), p.objective)
+    want = _per_cell_relaxation(level, eps == 0.0, eps != 0.0, p.objective)
     got = (rel.E, rel.A, rel.c, rel.slack, rel.lift)
     for name, g, w in zip(("E", "A", "c", "slack", "lift"), got, want):
         assert np.array_equal(g, w), name
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.1, None])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
 def test_assembly_keys_each_distinct_word_once(eps, monkeypatch):
     # level 3 has 85 distinct cell words in 625 cells; each word function
     # that keys classes runs at most once per distinct word
@@ -202,12 +217,12 @@ def test_objective_with_non_finite_coefficient_rejected(cf):
 
 def test_objective_coefficients_of_one_canonical_word_add():
     # b0 a0 and a0 b0 are one moment, so this objective is 2 <a0 b0>
-    twice = build_problem("1", None, {("b0", "a0"): 1.0, ("a0", "b0"): 1.0})
-    assert twice.objective == build_problem("1", None, {("a0", "b0"): 2.0}).objective
+    twice = build_problem("1", 1.0, {("b0", "a0"): 1.0, ("a0", "b0"): 1.0})
+    assert twice.objective == build_problem("1", 1.0, {("a0", "b0"): 2.0}).objective
     assert abs(solve(twice).value - 2.0) < 1e-6
 
 
-@pytest.mark.parametrize("eps", [None, 0.0, 0.1])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
 def test_word_without_moment_rejected_on_every_route(eps):
     # at eps = 0 the zero-face rewrite turns a0 a1 b0 into the level-1
     # moment a0 a1, so the check must use the plain moments
@@ -215,22 +230,23 @@ def test_word_without_moment_rejected_on_every_route(eps):
         build_problem("1", eps, {("a0", "a1", "b0"): 1.0})
 
 
+@pytest.mark.parametrize("eps", [None, -0.1, float("nan"), float("inf")])
+def test_invalid_eps_rejected(eps):
+    # unconstrained maximization is eps >= 1, not a separate eps = None
+    with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+        build_problem("2", eps)
+
+
 def test_chsh_reaches_tsirelson():
-    sol = solve(build_problem("1", eps=None, objective=CHSH))
+    # at eps = 1 both inequality rows are vacuous
+    sol = solve(build_problem("1", eps=1.0, objective=CHSH))
     assert sol.status == "Converged"
     assert abs(sol.value - oracles.TSIRELSON) < 1e-6
 
 
 def test_unconstrained_level1_value():
     # without the two zero constraints the score relaxes to 9/8 at level 1
-    assert abs(npa_upper_bound("1", eps=None) - 1.125) < 1e-6
-
-
-def test_eps_one_equals_unconstrained():
-    # slack rhs of 1 makes both inequality rows vacuous
-    a = npa_upper_bound("1", eps=1.0)
-    b = npa_upper_bound("1", eps=None)
-    assert abs(a - b) < 1e-6
+    assert abs(npa_upper_bound("1", eps=1.0) - 1.125) < 1e-6
 
 
 def test_frozen_values_ideal():

@@ -1,6 +1,8 @@
-"""Smoke tests for the scripts the README points users at."""
+"""Smoke tests for the scripts and the library example the README points
+users at."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,13 +12,26 @@ import oracles
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_reproduce_optimum_runs_without_warnings():
+def _run_with_src(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", str(ROOT / "scripts" / "reproduce_optimum.py")],
-        capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, "-W", "error", *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_reproduce_optimum_runs_without_warnings():
+    proc = _run_with_src(str(ROOT / "scripts" / "reproduce_optimum.py"))
     assert proc.returncode == 0, proc.stderr
     hardy = [line for line in proc.stdout.splitlines() if line.startswith("hardy maximum")]
     assert len(hardy) == 1
     assert abs(float(hardy[0].split()[2]) - oracles.HARDY_MAX) < 1e-9
+
+
+def test_readme_library_block_runs():
+    # the README's one python block uses only the current public API
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        re.S | re.M)
+    assert len(blocks) == 1
+    proc = _run_with_src("-c", blocks[0])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("0.10781271774893")
