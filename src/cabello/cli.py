@@ -27,8 +27,9 @@ CSV_HEADER = ["eps", "local_bound", "quantum_lower", "quantum_upper", "level", "
 _FID_THRESHOLD = 1 - 1e-9
 _EQUIV_THRESHOLD = 1e-10
 
-# Samples per batched Born-rule call of verify-formula; it bounds the
-# verb's memory, which would otherwise grow with --samples.
+# Samples per batched call of verify-formula (closed form, constrained
+# state, Born rule); it bounds the verb's memory, which would otherwise
+# grow with --samples.
 _VERIFY_CHUNK = 256
 
 
@@ -132,14 +133,11 @@ def _run_verify_formula(o, out) -> int:
         cmax = 1.0 / np.sqrt(1 + np.tan(a / 2) ** 2 + np.tan(b / 2) ** 2)
         c = _uniform(u[:, 2], 0.0, 0.999) * cmax
         d, ph, xi = _uniform(u[:, 3:], 0.0, 2 * np.pi).T
-        params = [qubit.ConstrainedStateParams(
-                      c=ck, delta=dk,
-                      meas=qubit.MeasurementParams(alpha=ak, beta=bk, phi=phk, xi=xik))
-                  for ak, bk, ck, dk, phk, xik in zip(a, b, c, d, ph, xi)]
-        closed = np.array([qubit.closed_form_score(p) for p in params])
+        p = qubit.ConstrainedStateParams(
+            c=c, delta=d, meas=qubit.MeasurementParams(alpha=a, beta=b, phi=ph, xi=xi))
+        closed = qubit.closed_form_score(p)
         beh = scenario.behavior_from_quantum(
-            np.array([qubit.constrained_state(p) for p in params]),
-            qubit.measurements(a, ph), qubit.measurements(b, xi))
+            qubit.constrained_state(p), qubit.measurements(a, ph), qubit.measurements(b, xi))
         st = scenario.cabello_stats(beh)
         worst_dev = max(worst_dev, float(np.abs(st.score - closed).max()))
         worst_leak = max(worst_leak, float(st.e10.max()), float(st.e01.max()))

@@ -9,12 +9,18 @@ below is its degree of success, transcribed literally from the source
 expression (the formula-simulation equivalence test validates the
 transcription). The ansatz family generalizes it for nonideal
 constraints with three real amplitudes.
+
+Batch convention: the fields of ``MeasurementParams`` and
+``ConstrainedStateParams`` are floats, or equal-shape arrays over a
+leading sample axis. ``constrained_state`` and ``closed_form_score``
+then return one result per sample, from the same numpy formula that
+serves a single point, and a range check fails if any sample fails it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan, cos, isfinite, pi, sin, sqrt, tan
+from math import atan, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -43,41 +49,63 @@ class InvalidEffectError(ValueError):
     """POVM effect parameters violate positivity."""
 
 
+def _first_bad(ok, *values):
+    """The values at the first sample where ``ok`` is False.
+
+    ``ok`` and ``values`` broadcast together; for floats ``ok`` is a
+    bool and the values come back as they are.
+    """
+    i = np.unravel_index(np.argmin(ok), np.shape(ok))
+    return tuple(np.broadcast_to(v, np.shape(ok))[i] for v in values)
+
+
 @dataclass(frozen=True)
 class MeasurementParams:
-    """Second-setting angles: alpha, beta in (0, pi); phi, xi in [0, 2pi)."""
+    """Second-setting angles: alpha, beta in (0, pi); phi, xi in [0, 2pi).
 
-    alpha: float
-    beta: float
-    phi: float = 0.0
-    xi: float = 0.0
+    Floats, or equal-shape arrays over a leading sample axis, one
+    measurement pair per sample (see the module docstring).
+    """
+
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
+    phi: float | np.ndarray = 0.0
+    xi: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < pi and 0.0 < self.beta < pi):
-            raise OutOfRangeError(
-                f"alpha, beta must lie in (0, pi): got {self.alpha}, {self.beta}"
-            )
-        if not (0.0 <= self.phi < TWO_PI and 0.0 <= self.xi < TWO_PI):
-            raise OutOfRangeError(
-                f"phi, xi must lie in [0, 2pi): got {self.phi}, {self.xi}"
-            )
+        # written so that a NaN entry fails every test
+        ok = (0.0 < self.alpha) & (self.alpha < pi) & (0.0 < self.beta) & (self.beta < pi)
+        if not np.all(ok):
+            raise OutOfRangeError("alpha, beta must lie in (0, pi): got %s, %s"
+                                  % _first_bad(ok, self.alpha, self.beta))
+        ok = (0.0 <= self.phi) & (self.phi < TWO_PI) & (0.0 <= self.xi) & (self.xi < TWO_PI)
+        if not np.all(ok):
+            raise OutOfRangeError("phi, xi must lie in [0, 2pi): got %s, %s"
+                                  % _first_bad(ok, self.phi, self.xi))
 
 
 @dataclass(frozen=True)
 class ConstrainedStateParams:
     """Amplitude c in [0, 1] and global phase delta, tied to measurement
     angles. The family is normalizable only while
-    c^2 (1 + tan^2(alpha/2) + tan^2(beta/2)) <= 1."""
+    c^2 (1 + tan^2(alpha/2) + tan^2(beta/2)) <= 1.
 
-    c: float
-    delta: float
+    Floats, or arrays of the same shape as the fields of ``meas``, one
+    state per sample (see the module docstring).
+    """
+
+    c: float | np.ndarray
+    delta: float | np.ndarray
     meas: MeasurementParams
 
     def __post_init__(self):
-        if not 0.0 <= self.c <= 1.0:
-            raise OutOfRangeError(f"c must lie in [0, 1]: got {self.c}")
-        if not 0.0 <= self.delta < TWO_PI:
-            raise OutOfRangeError(f"delta must lie in [0, 2pi): got {self.delta}")
+        ok = (0.0 <= self.c) & (self.c <= 1.0)
+        if not np.all(ok):
+            raise OutOfRangeError("c must lie in [0, 1]: got %s" % _first_bad(ok, self.c))
+        ok = (0.0 <= self.delta) & (self.delta < TWO_PI)
+        if not np.all(ok):
+            raise OutOfRangeError("delta must lie in [0, 2pi): got %s"
+                                  % _first_bad(ok, self.delta))
 
 
 @dataclass(frozen=True)
@@ -143,13 +171,22 @@ def projectors(m: MeasurementParams):
     return (*measurements(m.alpha, m.phi), *measurements(m.beta, m.xi))
 
 
-def _radicand(p: ConstrainedStateParams) -> float:
+def _radicand(p: ConstrainedStateParams):
+    """1 - c^2 (1 + tan^2(alpha/2) + tan^2(beta/2)), per sample; raises
+    NotNormalizableError where it is below -1e-12."""
     m = p.meas
-    return 1.0 - p.c ** 2 * (1.0 + tan(m.alpha / 2) ** 2 + tan(m.beta / 2) ** 2)
+    rad = 1.0 - np.square(p.c) * (1.0 + np.square(np.tan(m.alpha / 2))
+                                  + np.square(np.tan(m.beta / 2)))
+    ok = rad >= -1e-12
+    if not np.all(ok):
+        raise NotNormalizableError("c = %s too large for alpha = %s, beta = %s"
+                                   % _first_bad(ok, p.c, m.alpha, m.beta))
+    return rad
 
 
 def constrained_state(p: ConstrainedStateParams) -> np.ndarray:
-    """State vector of the constrained family on |00>,|01>,|10>,|11>.
+    """State vector of the constrained family on |00>,|01>,|10>,|11>,
+    shape (..., 4) over the sample shape of ``p``.
 
     Amplitudes (e^{i delta} R, -c e^{-i phi} tan(alpha/2),
     -c e^{-i xi} tan(beta/2), c) where R is the square root of the
@@ -158,39 +195,37 @@ def constrained_state(p: ConstrainedStateParams) -> np.ndarray:
     vanish identically for the induced behavior.
     """
     rad = _radicand(p)
-    if rad < -1e-12:
-        raise NotNormalizableError(
-            f"c = {p.c} too large for alpha = {p.meas.alpha}, beta = {p.meas.beta}"
-        )
     m = p.meas
-    return np.array([
-        np.exp(1j * p.delta) * sqrt(max(rad, 0.0)),
-        -p.c * np.exp(-1j * m.phi) * tan(m.alpha / 2),
-        -p.c * np.exp(-1j * m.xi) * tan(m.beta / 2),
+    return np.stack(np.broadcast_arrays(
+        np.exp(1j * p.delta) * np.sqrt(np.maximum(rad, 0.0)),
+        -p.c * np.exp(-1j * m.phi) * np.tan(m.alpha / 2),
+        -p.c * np.exp(-1j * m.xi) * np.tan(m.beta / 2),
         p.c,
-    ])
+    ), axis=-1)
 
 
-def closed_form_score(p: ConstrainedStateParams) -> float:
-    """Degree of success of the constrained family, in closed form.
+def closed_form_score(p: ConstrainedStateParams) -> float | np.ndarray:
+    """Degree of success of the constrained family, in closed form: a
+    float, or an array over the sample shape of ``p``.
 
     Transcribed literally from the printed expression, nested radical
     included; agreement with the Born-rule pipeline to 1e-10 is a tested
     property. Depends on the three phases only through delta + xi + phi.
     """
-    if _radicand(p) < -1e-12:
-        raise NotNormalizableError(
-            f"c = {p.c} too large for alpha = {p.meas.alpha}, beta = {p.meas.beta}"
-        )
+    _radicand(p)
     m = p.meas
     a, b, c, d = m.alpha, m.beta, p.c, p.delta
-    rad = c ** 2 * (-tan(a / 2) ** 2) - 2 * c ** 2 / (cos(b) + 1) + 1
-    return 0.25 * (
+    # squares by np.square, not ** 2: a float's ** 2 is libm pow, which
+    # can round otherwise than an array's x * x
+    cos, sin, tan, sq = np.cos, np.sin, np.tan, np.square
+    rad = sq(c) * (-sq(tan(a / 2))) - 2 * sq(c) / (cos(b) + 1) + 1
+    score = 0.25 * (
         cos(a) * cos(b) + cos(a) + cos(b) - 3
-        - 2 * c * sin(a) * sin(b) * cos(d + m.xi + m.phi) * sqrt(max(rad, 0.0))
-        + 2 * c ** 2 * (cos(a) * (cos(b) - 1) + 2 * tan(a / 2) ** 2
-                        - cos(b) + 2 * tan(b / 2) ** 2 + 1)
+        - 2 * c * sin(a) * sin(b) * cos(d + m.xi + m.phi) * np.sqrt(np.maximum(rad, 0.0))
+        + 2 * sq(c) * (cos(a) * (cos(b) - 1) + 2 * sq(tan(a / 2))
+                       - cos(b) + 2 * sq(tan(b / 2)) + 1)
     )
+    return score if np.ndim(score) else float(score)
 
 
 @dataclass(frozen=True)

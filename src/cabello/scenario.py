@@ -211,8 +211,9 @@ def _vertex_stats() -> np.ndarray:
     return rows
 
 
-# the 7 distinct rows; a mixture LP needs each column once
-_VERTICES = np.unique(_vertex_stats(), axis=0)
+# the 7 distinct rows in sorted order; a mixture LP needs each column
+# once (sorted by hand: np.unique would import numpy.ma at start-up)
+_VERTICES = np.array(sorted(set(map(tuple, _vertex_stats().tolist()))))
 
 
 @functools.cache

@@ -135,8 +135,9 @@ def test_verify_formula_verb(monkeypatch, capsys):
     closed_form_score = qubit.closed_form_score
 
     def recorded(p):
+        # one call per chunk; recorded as one tuple per sample
         m = p.meas
-        seen.append((m.alpha, m.beta, p.c, p.delta, m.phi, m.xi))
+        seen.extend(zip(m.alpha, m.beta, p.c, p.delta, m.phi, m.xi))
         return closed_form_score(p)
 
     monkeypatch.setattr(qubit, "closed_form_score", recorded)
@@ -152,6 +153,19 @@ def test_verify_formula_verb(monkeypatch, capsys):
     assert seen == draws
     assert abs(doc["max_score_deviation"] - dev) <= 1e-15
     assert abs(doc["max_constraint_probability"] - leak) <= 1e-15
+
+
+def test_verify_formula_makes_one_call_per_chunk(monkeypatch, capsys):
+    calls = {"closed_form_score": 0, "constrained_state": 0}
+    for name in calls:
+        def counted(p, name=name, inner=getattr(qubit, name)):
+            calls[name] += 1
+            return inner(p)
+        monkeypatch.setattr(qubit, name, counted)
+    code, out, err = run_cli(["verify-formula", "--samples", "1000"], capsys)
+    assert code == 0
+    chunks = -(-1000 // cli._VERIFY_CHUNK)
+    assert calls == {"closed_form_score": chunks, "constrained_state": chunks}
 
 
 def test_verify_formula_checks_the_transcription(monkeypatch, capsys):
@@ -313,6 +327,8 @@ import sys
 import cabello.cli
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded[:5]
+# nor numpy.ma, which np.unique imports on its first call
+assert "numpy.ma" not in sys.modules
 """
 
 _FROZEN_BYTES_WITHOUT_SCIPY = """

@@ -1,6 +1,8 @@
 """Tests for the constrained two-qubit family, the closed-form score,
 the analytic optimum, the ansatz family, and the POVM decomposition."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -151,6 +153,51 @@ def test_score_formula_matches_simulation():
         worst_constraint = max(worst_constraint, stats.e10, stats.e01)
     assert worst < 1e-10
     assert worst_constraint < 1e-12
+
+
+_FIELDS = ("alpha", "beta", "phi", "xi", "c", "delta")
+
+
+def _columns(params):
+    """The fields of scalar params as strided columns of one array, the
+    layout verify-formula draws its batches in."""
+    rows = np.array([[p.meas.alpha, p.meas.beta, p.meas.phi, p.meas.xi, p.c, p.delta]
+                     for p in params])
+    return dict(zip(_FIELDS, rows.T))
+
+
+def _batch(cols):
+    return ConstrainedStateParams(
+        c=cols["c"], delta=cols["delta"],
+        meas=MeasurementParams(alpha=cols["alpha"], beta=cols["beta"],
+                               phi=cols["phi"], xi=cols["xi"]))
+
+
+def test_batch_equals_the_scalar_calls_bitwise():
+    rng = np.random.default_rng(77)
+    params = [_random_params(rng) for _ in range(1000)]
+    batch = _batch(_columns(params))
+    score, state = closed_form_score(batch), constrained_state(batch)
+    assert score.shape == (1000,) and state.shape == (1000, 4)
+    assert score.tobytes() == np.array([closed_form_score(p) for p in params]).tobytes()
+    assert state.tobytes() == np.array([constrained_state(p) for p in params]).tobytes()
+    assert type(closed_form_score(params[0])) is float
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("alpha", np.nan, OutOfRangeError),
+    ("alpha", 0.0, OutOfRangeError),
+    ("delta", 2 * np.pi, OutOfRangeError),
+    ("c", 1.0, NotNormalizableError),    # oversized for any angles
+])
+def test_one_bad_sample_fails_the_batch(field, value, error):
+    rng = np.random.default_rng(78)
+    cols = _columns([_random_params(rng) for _ in range(50)])
+    cols[field][17] = value
+    for fn in (closed_form_score, constrained_state):
+        # the message cites the bad sample, not the whole batch
+        with pytest.raises(error, match=re.escape(str(value))):
+            fn(_batch(cols))
 
 
 def test_score_depends_on_phase_sum_only():

@@ -222,6 +222,14 @@ def test_enumerate_sixteen_distinct():
         assert set(vals.tolist()) <= {0.0, 1.0}
 
 
+def test_vertex_rows_equal_np_unique_bitwise():
+    from cabello import scenario
+
+    want = np.unique(scenario._vertex_stats(), axis=0)
+    assert scenario._VERTICES.shape == want.shape == (7, 3)
+    assert scenario._VERTICES.tobytes() == want.tobytes()
+
+
 def test_no_deterministic_strategy_wins_the_ideal_game():
     # any strategy with positive score must violate one of the zero
     # constraints; that is the whole nonlocality argument
