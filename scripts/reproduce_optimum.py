@@ -1,6 +1,6 @@
 """Reproduce the ideal-test numbers end to end.
 
-Prints the closed-form optimum, the multistart search result, the
+Prints the closed-form optimum, the ideal search result, the
 moment-relaxation upper bounds, the Hardy special case, and the
 self-test fidelity for a lumpy direct sum, each with the deviation
 from its reference.
@@ -35,7 +35,7 @@ def main() -> int:
     t0 = time.perf_counter()
     res = optimize_ideal()
     dt = time.perf_counter() - t0
-    print(f"multistart score       {res.score:.15f}"
+    print(f"ideal search score     {res.score:.15f}"
           f"   (err {res.score - opt.score:+.2e}, {dt:.2f} s,"
           f" {res.starts_used} starts)")
 

@@ -1,19 +1,22 @@
-"""Multistart maximization of the score.
+"""Maximization of the score from fixed starts.
 
-Three searches: the ideal problem over the constrained family
-(reproducing the analytic optimum), the nonideal problem over the real
-ansatz amplitudes under eps constraints, and the Hardy special case
-with the extra zero constraint. Phases are fixed to phi = xi = 0: the
-score depends on the three phases only through their sum, so freeing
-them adds flat directions and nothing else.
+Three searches. The ideal problem (reproducing the analytic optimum)
+and the Hardy special case (the extra zero constraint) search the
+constrained family over its two measurement angles with two
+objectives: for fixed angles the ideal score's maximum over c and
+delta, and Hardy's p, both in closed form. The nonideal problem
+searches the real ansatz amplitudes under eps constraints. Phases are
+fixed to phi = xi = 0: the score depends on the three phases only
+through their sum, so freeing them adds flat directions and nothing
+else.
 
 Each search runs one BFGS descent per start (``minimize``, stopped by
 ``BFGS_TOL`` and ``BFGS_MAX_ITER``) on one callable that returns the
 value of its closed form together with the hand-written gradient. Every
-chart keeps its structure exact: normalization, for Hardy the zero
-constraint, for the nonideal search the two eps rows, and the box of
-every bounded angle (``_angle`` maps every real u into
-[_EDGE, pi - _EDGE]). So every descent is unconstrained.
+chart keeps its structure exact: normalization, for the nonideal
+search the two eps rows, and the box of every bounded angle (``_angle``
+maps every real u into [_EDGE, pi - _EDGE]). So every descent is
+unconstrained.
 
 Every search starts from a small fixed grid. Results merge by maximal
 score with lexicographic parameter tie-break, so a run is a
@@ -26,16 +29,14 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from math import cos, pi, sin, sqrt, tan
+from math import atan2, cos, hypot, pi, sin, sqrt, tan
 from operator import mul
 from typing import Callable, Sequence
 
 from . import npa
 from .qubit import (ConstrainedStateParams, MeasurementParams, analytic_optimum,
-                    closed_form_score)
+                    closed_form_score, norm_factor)
 from .scenario import local_max_score
-
-TWO_PI = 2 * pi
 
 BFGS_TOL = 1e-12     # stopping tolerance of every descent
 BFGS_MAX_ITER = 200  # iteration cap of every descent
@@ -178,7 +179,7 @@ def _angle(u: float) -> float:
     return pi / 2 - _HALF_SPAN * cos(u)
 
 
-# -- ideal problem ------------------------------------------------------
+# -- ideal and Hardy problems -------------------------------------------
 
 def _family_terms(a: float, b: float):
     """Angle factors of the constrained-family score, with their partials.
@@ -207,61 +208,95 @@ def _family_terms(a: float, b: float):
     return (P, Q, S), d_a, d_b
 
 
-def _ideal_t(w: float) -> float:
-    """Chart of t in [0, pi/2]: (pi/4)(1 - cos w)."""
-    return pi / 4 * (1.0 - cos(w))
-
-
 def _ideal_neg(x):
-    """Minus the family score and its gradient in the chart (u_a, u_b, w, delta)."""
-    ua, ub, w, d = x
-    t = _ideal_t(w)
+    """Minus the family score maximized over c and delta, and its
+    gradient in the chart (u_a, u_b).
+
+    S > 0 on the box and sin 2t >= 0, so delta = pi is best, and the
+    score is the quadratic form of [[P, S], [S, Q]] at (cos t, sin t).
+    Its maximum over t is the top eigenvalue (P + Q)/2 + r, with
+    h = (P - Q)/2 and r = hypot(h, S) > 0.
+    """
+    ua, ub = x
     (P, Q, S), d_a, d_b = _family_terms(_angle(ua), _angle(ub))
-    c2, s2, st, cd = cos(t) ** 2, sin(t) ** 2, sin(2 * t), cos(d)
-    return (-(c2 * P + s2 * Q - st * S * cd),
-            [-(c2 * d_a[0] + s2 * d_a[1] - st * cd * d_a[2]) * _HALF_SPAN * sin(ua),
-             -(c2 * d_b[0] + s2 * d_b[1] - st * cd * d_b[2]) * _HALF_SPAN * sin(ub),
-             -(st * (Q - P) - 2.0 * cos(2 * t) * S * cd) * pi / 4 * sin(w),
-             -st * S * sin(d)])
+    h = (P - Q) / 2
+    r = hypot(h, S)
+
+    def grad(dP, dQ, dS, u):
+        return -((dP + dQ) / 2 + (h * (dP - dQ) / 2 + S * dS) / r) * _HALF_SPAN * sin(u)
+
+    return -((P + Q) / 2 + r), [grad(*d_a, ua), grad(*d_b, ub)]
 
 
-def _ceiling_w(a: float, b: float) -> float:
-    """1 + tan^2(a/2) + tan^2(b/2), the factor c^2 is bounded by."""
-    return 1.0 + tan(a / 2) ** 2 + tan(b / 2) ** 2
+def _ideal_point(a: float, b: float):
+    """Score and (alpha, beta, c) at the top eigenvector of ``_ideal_neg``'s
+    form, t = atan2(r - h, S) (h <= 0, so r - h does not cancel), and
+    c = sin t / sqrt(W); the score is ``closed_form_score`` at delta = pi."""
+    (P, Q, S), _, _ = _family_terms(a, b)
+    h = (P - Q) / 2
+    c = sin(atan2(hypot(h, S) - h, S)) / sqrt(norm_factor(a, b))
+    return closed_form_score(ConstrainedStateParams(
+        c=c, delta=pi, meas=MeasurementParams(alpha=a, beta=b))), (a, b, c)
 
 
-# the starts (u_a, u_b, w, delta) of the ideal search: equal angles
-# alpha = beta near pi/4 and 3 pi/4, c at sin(pi/4) of its ceiling, and
-# the two delta where the phase term vanishes, one on each side of the
-# optimum at delta = pi
-_IDEAL_STARTS = tuple((u, u, pi / 2, d) for u in (pi / 3, 2 * pi / 3)
-                      for d in (pi / 2, 3 * pi / 2))
+def _hardy_neg(x):
+    """Minus p on the zero slice and its gradient in the chart (u_a, u_b)."""
+    ua, ub = x
+    (_, Q, _), d_a, d_b = _family_terms(_angle(ua), _angle(ub))
+    return -Q, [-d_a[1] * _HALF_SPAN * sin(ua), -d_b[1] * _HALF_SPAN * sin(ub)]
+
+
+def _hardy_point(a: float, b: float):
+    """p and (alpha, beta, c), with c rounded up from 1 / sqrt(W) until
+    the radicand, formed as ``qubit._radicand`` forms it, is not
+    positive: the |00> amplitude of ``constrained_state`` is then 0."""
+    w = norm_factor(a, b)
+    c = 1.0 / sqrt(w)
+    while 1.0 - c * c * w > 0.0:
+        c = math.nextafter(c, 2.0)
+    return _family_terms(a, b)[0][1], (a, b, c)
+
+
+# the starts (u_a, u_b) of the ideal and Hardy searches: equal angles
+# alpha = beta near pi/4 and 3 pi/4
+_STARTS = tuple((u, u) for u in (pi / 3, 2 * pi / 3))
+
+
+def _search_angles(neg, point, delta: float) -> OptResult:
+    """Best of one BFGS descent of ``neg`` from each of ``_STARTS``, with
+    ``point(alpha, beta)`` giving an end point's score and
+    (alpha, beta, c); reported at ``delta``."""
+    cands = []
+    for x0 in _STARTS:
+        res = minimize(neg, x0)
+        cands.append((*point(*map(_angle, res.x)), res.converged))
+    score, (a, b, c), conv = _best(cands)
+    params = {"alpha": a, "beta": b, "c": c, "delta": delta, "phi": 0.0, "xi": 0.0}
+    return OptResult(score=score, params=params, e10=0.0, e01=0.0,
+                     starts_used=len(_STARTS), converged=conv)
 
 
 def optimize_ideal() -> OptResult:
     """Maximize the closed-form score over (alpha, beta, c, delta).
 
-    Searches the chart (u_a, u_b, w, delta) with alpha = ``_angle(u_a)``,
-    beta = ``_angle(u_b)``, t = (pi/4)(1 - cos w) and
-    c = sin t / sqrt(1 + tan^2(alpha/2) + tan^2(beta/2)), in which every
-    point is normalizable, by one BFGS descent from each of the fixed
-    starts ``_IDEAL_STARTS`` with the analytic gradient. The reported
-    score is ``closed_form_score`` at the reported parameters; the best
-    point matches the analytic optimum to a few ulp.
+    For fixed angles c and delta are in closed form (``_ideal_neg``), so
+    the search runs over alpha = ``_angle(u_a)`` and beta = ``_angle(u_b)``
+    only. It reports delta = pi, c from ``_ideal_point`` and
+    ``closed_form_score`` there, a few ulp from the analytic optimum.
     """
-    cands = []
-    for x0 in _IDEAL_STARTS:
-        res = minimize(_ideal_neg, x0)
-        ua, ub, w, d = res.x
-        a, b, t = _angle(ua), _angle(ub), _ideal_t(w)
-        c, d = sin(t) / sqrt(_ceiling_w(a, b)), d % TWO_PI
-        score = closed_form_score(ConstrainedStateParams(
-            c=c, delta=d, meas=MeasurementParams(alpha=a, beta=b)))
-        cands.append((score, (a, b, c, d), res.converged))
-    score, (a, b, c, d), conv = _best(cands)
-    params = {"alpha": a, "beta": b, "c": c, "delta": d, "phi": 0.0, "xi": 0.0}
-    return OptResult(score=score, params=params, e10=0.0, e01=0.0,
-                     starts_used=len(_IDEAL_STARTS), converged=conv)
+    return _search_angles(_ideal_neg, _ideal_point, pi)
+
+
+def optimize_hardy() -> OptResult:
+    """Maximize p with the additional constraint q = 0.
+
+    Within the constrained family the zero constraint pins the |00>
+    amplitude: c equals the normalizability ceiling, leaving a search
+    over the two angles with
+    p = sin^2(alpha/2) sin^2(beta/2) / (1 + tan^2(alpha/2) + tan^2(beta/2)).
+    The reported c makes the |00> amplitude exactly 0 (``_hardy_point``).
+    """
+    return _search_angles(_hardy_neg, _hardy_point, 0.0)
 
 
 # -- nonideal problem ---------------------------------------------------
@@ -376,11 +411,10 @@ def _ideal_to_ansatz(res: OptResult) -> OptResult:
     """Re-express the ideal optimum in ansatz coordinates.
 
     On the zero-constraint slice the ansatz reduces to the constrained
-    family with equal angles, so symmetrize alpha and beta (the ideal
-    optimum has them equal to optimizer precision) and renormalize s00
-    exactly.
+    family with equal angles, which the ideal search reports (alpha =
+    beta bitwise); s00 is renormalized exactly.
     """
-    a = (res.params["alpha"] + res.params["beta"]) / 2
+    a = res.params["alpha"]
     s00, s01, s11 = _ideal_amplitudes(a, res.params["c"])
     q, p, e10, e01 = ansatz_stats(a, a, s00, s01, s11)
     params = {"s00": s00, "s01": s01, "s11": s11, "alpha": a, "beta": a,
@@ -416,8 +450,8 @@ def optimize_nonideal(eps: float) -> OptResult:
     not by design (ROADMAP item 11). eps = 0 delegates to the ideal
     search, where the constraints hold identically (the polish rescale
     degenerates at eps = 0, collapsing the off-diagonal amplitudes); the
-    e10 and e01 it reports are the closed forms at the ideal optimum,
-    about 3e-33 by rounding.
+    e10 = e01 it reports are the closed forms at the ideal search's
+    optimum, 3.1e-33 by rounding.
     """
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"eps must lie in [0, 0.5], got {eps}")
@@ -443,46 +477,6 @@ def optimize_nonideal(eps: float) -> OptResult:
               "phi": 0.0, "xi": 0.0}
     return OptResult(score=score, params=params, e10=e10, e01=e01,
                      starts_used=len(_SLICE_STARTS), converged=conv)
-
-
-# -- Hardy special case -------------------------------------------------
-
-def _hardy_neg(x):
-    """Minus p on the zero slice and its gradient in the chart (u_a, u_b)."""
-    ua, ub = x
-    (_, Q, _), d_a, d_b = _family_terms(_angle(ua), _angle(ub))
-    return -Q, [-d_a[1] * _HALF_SPAN * sin(ua), -d_b[1] * _HALF_SPAN * sin(ub)]
-
-
-# the starts (u_a, u_b) of the Hardy search, with equal angles
-_HARDY_STARTS = tuple((u, u) for u in (pi / 3, 2 * pi / 3))
-
-
-def optimize_hardy() -> OptResult:
-    """Maximize p with the additional constraint q = 0.
-
-    Within the constrained family the zero constraint pins the |00>
-    amplitude: c equals the normalizability ceiling, leaving a search
-    over the two angles with
-    p = sin^2(alpha/2) sin^2(beta/2) / (1 + tan^2(alpha/2) + tan^2(beta/2)),
-    one BFGS descent from each of the fixed starts ``_HARDY_STARTS`` in
-    the chart (u_a, u_b) with the analytic gradient. The reported c is rounded up to where the normalizability
-    radicand is not positive, so the |00> amplitude of the state is
-    exactly zero.
-    """
-    cands = []
-    for x0 in _HARDY_STARTS:
-        res = minimize(_hardy_neg, x0)
-        ua, ub = res.x
-        cands.append((-res.fun, (_angle(ua), _angle(ub)), res.converged))
-    score, (a, b), conv = _best(cands)
-    w = _ceiling_w(a, b)
-    c = 1.0 / sqrt(w)
-    while 1.0 - c ** 2 * w > 0.0:
-        c = math.nextafter(c, 2.0)
-    params = {"alpha": a, "beta": b, "c": c, "delta": 0.0, "phi": 0.0, "xi": 0.0}
-    return OptResult(score=score, params=params, e10=0.0, e01=0.0,
-                     starts_used=len(_HARDY_STARTS), converged=conv)
 
 
 # -- sweep --------------------------------------------------------------

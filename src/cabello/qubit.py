@@ -171,12 +171,17 @@ def projectors(m: MeasurementParams):
     return (*measurements(m.alpha, m.phi), *measurements(m.beta, m.xi))
 
 
+def norm_factor(alpha, beta):
+    """W = 1 + tan^2(alpha/2) + tan^2(beta/2): the constrained family is
+    normalizable while c^2 W <= 1, so c is bounded by 1 / sqrt(W)."""
+    return 1.0 + np.square(np.tan(alpha / 2)) + np.square(np.tan(beta / 2))
+
+
 def _radicand(p: ConstrainedStateParams):
-    """1 - c^2 (1 + tan^2(alpha/2) + tan^2(beta/2)), per sample; raises
+    """1 - c^2 W with W from ``norm_factor``, per sample; raises
     NotNormalizableError where it is below -1e-12."""
     m = p.meas
-    rad = 1.0 - np.square(p.c) * (1.0 + np.square(np.tan(m.alpha / 2))
-                                  + np.square(np.tan(m.beta / 2)))
+    rad = 1.0 - np.square(p.c) * norm_factor(m.alpha, m.beta)
     ok = rad >= -1e-12
     if not np.all(ok):
         raise NotNormalizableError("c = %s too large for alpha = %s, beta = %s"

@@ -80,15 +80,19 @@ TSIRELSON = 2 * np.sqrt(2.0)
 # the BFGS searches from their fixed starts; they were frozen when those
 # starts replaced 64 seeded random ones, which ended at other points of
 # the same optima (ideal 0.1078127177489362, Hardy 0.09016994374947426;
-# now 9e-16 below OPT_SCORE and equal to HARDY_MAX). The sweep is the
-# benchmark's grid. Each command exits 0. A change that alters these
-# numbers on purpose updates them and says so.
+# Hardy now equal to HARDY_MAX). The ideal line was frozen again when
+# its search went from four coordinates to the two angles, with c and
+# delta in closed form: delta is now pi exactly and the score 1e-16
+# below OPT_SCORE, where the four-coordinate search stopped at delta =
+# 3.1415925691263555 and 9e-16 below. The sweep is the benchmark's
+# grid. Each command exits 0. A change that alters these numbers on
+# purpose updates them and says so.
 CLI_STDOUT = {
     ("optimize", "--mode", "ideal"):
-        '{"score": 0.10781271774893553, "params": {"alpha": 1.6135687600882458, '
-        '"beta": 1.6135687600882458, "c": 0.5539063690027316, '
-        '"delta": 3.1415925691263555, "phi": 0.0, "xi": 0.0}, "e10": 0.0, '
-        '"e01": 0.0, "starts_used": 4, "converged": true}\n',
+        '{"score": 0.1078127177489363, "params": {"alpha": 1.613568731757131, '
+        '"beta": 1.613568731757131, "c": 0.5539063767431359, '
+        '"delta": 3.141592653589793, "phi": 0.0, "xi": 0.0}, "e10": 0.0, '
+        '"e01": 0.0, "starts_used": 2, "converged": true}\n',
     ("hardy",):
         '{"score": 0.09016994374947424, "params": {"alpha": 1.8091137962030244, '
         '"beta": 1.8091137962030244, "c": 0.485868268854368, "delta": 0.0, '

@@ -1,4 +1,4 @@
-"""Tests for the BFGS minimizer, the multistart searches and the
+"""Tests for the BFGS minimizer, the fixed-start searches and the
 epsilon sweep."""
 
 import dataclasses
@@ -107,11 +107,10 @@ def test_every_ideal_and_hardy_descent_converges(monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(optimize, "minimize", recording)
-    for search, starts in ((optimize_ideal, optimize._IDEAL_STARTS),
-                           (optimize_hardy, optimize._HARDY_STARTS)):
+    for search in (optimize_ideal, optimize_hardy):
         runs.clear()
         r = search()
-        assert len(runs) == r.starts_used == len(starts)
+        assert len(runs) == r.starts_used == len(optimize._STARTS)
         assert all(run.converged for run in runs), search.__name__
 
 
@@ -161,8 +160,52 @@ def test_ideal_reaches_analytic_optimum(ideal):
     assert abs(ideal.params["alpha"] - ideal.params["beta"]) < 1e-6
     assert abs(ideal.params["alpha"] - opt.alpha) < 1e-6
     assert abs(ideal.params["c"] - opt.c) < 1e-6
-    assert ideal.starts_used == 4
+    assert ideal.starts_used == 2
     assert ideal.converged
+
+
+def test_ideal_search_ends_at_delta_pi_from_few_evaluations(monkeypatch):
+    # c and delta are in closed form, so the descents run over the two
+    # angles only; alpha = beta holds bitwise from the equal-angle starts
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(minimize(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(optimize, "minimize", recording)
+    r = optimize_ideal()
+    assert r.params["delta"] == np.pi
+    assert r.params["alpha"] == r.params["beta"]
+    assert abs(r.score - oracles.OPT_SCORE) <= 4.5e-16
+    assert r.converged
+    assert len(runs) <= 2
+    assert sum(run.nevals for run in runs) <= 40
+
+
+def test_ideal_value_is_the_envelope_over_c_and_delta():
+    # for fixed angles, minus _ideal_neg is the family score maximized
+    # over c up to the normalizability ceiling and over delta, and the
+    # reported (c, pi) attains it. The angles keep 0.1 off the box edge:
+    # as beta -> pi the best c nears the ceiling, where the closed form
+    # takes the root of a radicand near 1e-14 and rounds by up to 5e-13
+    rng = np.random.default_rng(8)
+    cs = np.linspace(0.0, 1.0, 41)
+    deltas = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    for angles in rng.uniform(0.1, np.pi - 0.1, size=(200, 2)):
+        u = list(np.arccos((np.pi / 2 - angles) / optimize._HALF_SPAN))
+        env = -optimize._ideal_neg(u)[0]
+        a, b = optimize._angle(u[0]), optimize._angle(u[1])
+        c, d = np.meshgrid(cs / np.sqrt(1 + np.tan(a / 2) ** 2 + np.tan(b / 2) ** 2),
+                           deltas)
+        grid = closed_form_score(ConstrainedStateParams(
+            c=c, delta=d, meas=MeasurementParams(alpha=np.full_like(c, a),
+                                                 beta=np.full_like(c, b))))
+        assert env >= grid.max(), angles
+        score, (_, _, c_best) = optimize._ideal_point(a, b)
+        assert abs(score - env) <= 1e-14, angles
+        assert score == closed_form_score(ConstrainedStateParams(
+            c=c_best, delta=np.pi, meas=MeasurementParams(alpha=a, beta=b)))
 
 
 def test_ideal_score_consistent_with_simulation(ideal):
@@ -265,7 +308,7 @@ def test_analytic_gradients_match_central_differences():
     eps_draws = np.concatenate([[0.5, 1e-12], rng.uniform(0.0, 0.5, size=48)])
     for eps in eps_draws:
         x = list(rng.uniform(-20 * np.pi, 20 * np.pi, size=4))
-        fused = [("ideal", optimize._ideal_neg, 4), ("hardy", optimize._hardy_neg, 2)]
+        fused = [("ideal", optimize._ideal_neg, 2), ("hardy", optimize._hardy_neg, 2)]
         fused += [(f"slice {sigma} eps={eps!r}",
                    functools.partial(optimize._slice_neg, float(eps), sigma), 2)
                   for sigma in (1.0, -1.0)]
@@ -413,11 +456,25 @@ def test_hardy_state_has_exactly_zero_00_amplitude(monkeypatch):
     # start the descent ends
     rng = np.random.default_rng(30)
     for x0 in rng.uniform(0.0, np.pi, size=(30, 2)):
-        monkeypatch.setattr(optimize, "_HARDY_STARTS", (tuple(x0),))
+        monkeypatch.setattr(optimize, "_STARTS", (tuple(x0),))
         r = optimize_hardy()
         stats = _stats_from_constrained(r.params)
         assert stats.q <= 1e-12
         assert abs(stats.p - r.score) <= 1e-12
+
+
+def test_hardy_zero_00_amplitude_holds_at_every_end_point(monkeypatch):
+    # c is rounded up by the radicand that constrained_state forms, so
+    # the |00> amplitude is exactly 0 wherever a descent ends
+    ends = np.random.default_rng(30).uniform(0.0, np.pi, size=(2000, 2))
+    for x in ends:
+        monkeypatch.setattr(optimize, "minimize", lambda fun, x0, x=tuple(x): (
+            optimize.MinimizeResult(x, fun(x)[0], 1, True, 0)))
+        prm = optimize_hardy().params
+        state = constrained_state(ConstrainedStateParams(
+            c=prm["c"], delta=prm["delta"],
+            meas=MeasurementParams(alpha=prm["alpha"], beta=prm["beta"])))
+        assert state[0] == 0, x
 
 
 def test_hardy_strictly_below_cabello_optimum():
