@@ -84,9 +84,14 @@ TSIRELSON = 2 * np.sqrt(2.0)
 # its search went from four coordinates to the two angles, with c and
 # delta in closed form: delta is now pi exactly and the score 1e-16
 # below OPT_SCORE, where the four-coordinate search stopped at delta =
-# 3.1415925691263555 and 9e-16 below. The sweep is the benchmark's
-# grid. Each command exits 0. A change that alters these numbers on
-# purpose updates them and says so.
+# 3.1415925691263555 and 9e-16 below. The eps > 0 npa lines and the
+# sweep's upper column were frozen again when the relaxation went over
+# to party-swap orbits of the moment classes, with class-index kernels
+# in the solver: the same maximum, reached by other rounding, moved
+# these bounds by at most 6.3e-10 (level 3 eps 0.15); the eps = 0 lines
+# kept their bytes. The sweep is the benchmark's grid. Each command
+# exits 0. A change that alters these numbers on purpose updates them
+# and says so.
 CLI_STDOUT = {
     ("optimize", "--mode", "ideal"):
         '{"score": 0.1078127177489363, "params": {"alpha": 1.613568731757131, '
@@ -101,13 +106,13 @@ CLI_STDOUT = {
     ("sweep", "--eps-min", "0", "--eps-max", "0.15", "--steps", "4"):
         "eps,local_bound,quantum_lower,quantum_upper,level,status\n"
         "0,0,0.107812717749,0.107812721607,2,ok\n"
-        "0.05,0.1,0.303807122589,0.303807130362,2,ok\n"
-        "0.1,0.2,0.403863259867,0.403863272913,2,ok\n"
-        "0.15,0.3,0.485178962823,0.485178965675,2,ok\n",
+        "0.05,0.1,0.303807122589,0.303807130356,2,ok\n"
+        "0.1,0.2,0.403863259867,0.403863272979,2,ok\n"
+        "0.15,0.3,0.485178962823,0.485178965676,2,ok\n",
     ("npa", "--level", "2", "--eps", "0"): "0.107812721607\n",
-    ("npa", "--level", "2", "--eps", "0.05"): "0.303807130303\n",
+    ("npa", "--level", "2", "--eps", "0.05"): "0.303807130408\n",
     ("npa", "--level", "3", "--eps", "0"): "0.107812720805\n",
-    ("npa", "--level", "3", "--eps", "0.05"): "0.303807144438\n",
+    ("npa", "--level", "3", "--eps", "0.05"): "0.303807144563\n",
     ("local-bound", "--eps", "0"): "0\n",
     ("local-bound", "--eps", "0.07"): "0.14\n",
     ("local-bound", "--eps", "0.3"): "0.6\n",
@@ -116,8 +121,8 @@ CLI_STDOUT = {
     ("local-bound", "--eps", "1e300"): "1\n",
     # two more points of the benchmark's npa grid, appended so the ids of
     # the entries above stay stable
-    ("npa", "--level", "2", "--eps", "0.4"): "0.853403314485\n",
-    ("npa", "--level", "3", "--eps", "0.15"): "0.48517897573\n",
+    ("npa", "--level", "2", "--eps", "0.4"): "0.853403314492\n",
+    ("npa", "--level", "3", "--eps", "0.15"): "0.485178976358\n",
 }
 
 

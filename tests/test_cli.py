@@ -212,7 +212,7 @@ def test_npa_eps_above_one_gives_the_eps_one_bound(eps, capsys):
     code, out, err = run_cli(["npa", "--level", "2", "--eps", eps], capsys)
     assert code == 0
     assert "status=Converged" in err
-    assert out == "1.00000001189\n"
+    assert out == "1.00000001286\n"
 
 
 def test_hardy_verb(capsys):
@@ -352,6 +352,37 @@ def test_cli_runs_without_scipy():
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
+
+
+_STDOUT_OF_EACH = """
+import contextlib, io, json, sys
+import cabello.cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cabello.cli.main(argv)
+    out.append((code, buf.getvalue()))
+print(json.dumps(out))
+"""
+
+
+def test_npa_output_does_not_depend_on_the_blas_thread_count():
+    # OpenBLAS reads its thread count when it loads, so each count gets a
+    # fresh interpreter
+    argvs = [a for a in oracles.CLI_STDOUT if a[:3] == ("npa", "--level", "3")]
+    argvs.append(("npa", "--level", "3", "--eps", "0.3"))
+    env = {**os.environ, "PYTHONPATH": str(Path(cabello.__file__).parents[1])}
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _STDOUT_OF_EACH, json.dumps(argvs)],
+                              env={**env, "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(json.loads(proc.stdout))
+    assert outs[0] == outs[1]
+    for argv, (code, out) in zip(argvs, outs[0]):
+        assert code == 0 and out == oracles.CLI_STDOUT.get(argv, out), argv
 
 
 def test_sweep_rejects_bad_steps(capsys):

@@ -94,8 +94,9 @@ def test_problem_shape_with_and_without_slacks(monkeypatch):
         build_problem("1", eps=eps)
     # eps 0.1 and 0.2 share the first relaxation
     slack, reduced = npa._relaxation_cache.values()
-    # two slack diagonal cells and two inequality rows appended
-    assert slack.E.shape[1:] == (7, 7) and slack.A.shape[0] == 3
+    # two slack diagonal cells appended; the score is swap-invariant, so
+    # the two inequality rows are one
+    assert slack.E.shape[1:] == (7, 7) and slack.A.shape[0] == 2
     # the presolve drops the slacks and keeps only the normalization row
     assert reduced.E.shape[1:] == (5, 5) and reduced.A.shape[0] == 1
     for eps in (0.1, 0.0):
@@ -126,14 +127,36 @@ def test_one_cell_table_per_level(monkeypatch):
     assert calls == ["3"]
 
 
-def _per_cell_relaxation(level, reduced, slacks, objective):
+def _party_swap(w):
+    return canonical(tuple(("b" if ltr[0] == "a" else "a") + ltr[1] for ltr in w))
+
+
+def _per_cell_relaxation(level, reduced, slacks, objective, orbits=True):
     """Reference assembly that forms the product and the class key of
-    every cell, once for the kept words and again for the lift; returns
-    E, A, c, the slack flags and the lift."""
+    every cell, once for the kept words and again for the lift, and with
+    ``orbits`` keys each cell by its party-swap orbit when the objective
+    takes equal coefficients on every class and its swap; returns E, A,
+    c, the slack flags and the lift."""
     full = words_for_level(level)
     cells = [[canonical(tuple(reversed(u)) + v) for v in full] for u in full]
     words = [w for w in full if npa.strip_fix(w) == w] if reduced else full
-    keyfn = npa.merged_key if reduced else plain_key
+    base = npa.merged_key if reduced else plain_key
+
+    def totals(swapped):
+        out = {}
+        for w, cf in objective:
+            k = base(_party_swap(w) if swapped else w)
+            out[k] = out.get(k, 0.0) + cf
+        return {k: cf for k, cf in out.items() if cf != 0.0}
+
+    merge = orbits and totals(False) == totals(True)
+
+    def keyfn(w):
+        if w and w[0][0] == "s":
+            return ("s1",) if merge else w
+        k = base(canonical(w))
+        return min(k, base(_party_swap(w))) if merge else k
+
     n = len(words)
     m = n + 2 * slacks
     classes = {}
@@ -142,21 +165,23 @@ def _per_cell_relaxation(level, reduced, slacks, objective):
             w = canonical(tuple(reversed(words[i])) + words[j])
             classes.setdefault(keyfn(w), []).append((i, j))
     if slacks:
-        classes[("s1",)] = [(n, n)]
-        classes[("s2",)] = [(n + 1, n + 1)]
+        classes.setdefault(keyfn(("s1",)), []).append((n, n))
+        classes.setdefault(keyfn(("s2",)), []).append((n + 1, n + 1))
     keys = sorted(classes, key=lambda k: (len(k), k))
     kidx = {k: i for i, k in enumerate(keys)}
 
     def row(coefs):
         r = np.zeros(len(keys))
         for w, cf in coefs.items():
-            r[kidx[w if (w and w[0][0] == "s") else keyfn(canonical(w))]] += cf
+            r[kidx[keyfn(w)]] += cf
         return r
 
     rows = [row({(): 1.0})]
     if slacks:
         rows.append(row({("a1",): 1.0, ("a1", "b0"): -1.0, ("s1",): 1.0}))
         rows.append(row({("b1",): 1.0, ("a0", "b1"): -1.0, ("s2",): 1.0}))
+    # the swap turns one eps row into the other: keep one of equal rows
+    rows = [r for i, r in enumerate(rows) if not any(np.array_equal(r, q) for q in rows[:i])]
     E = np.zeros((len(keys), m, m))
     for k, key in enumerate(keys):
         for (i, j) in classes[key]:
@@ -168,10 +193,12 @@ def _per_cell_relaxation(level, reduced, slacks, objective):
 
 # the two penalized probabilities, whose words share a class at eps = 0
 PENALTIES = {("a1",): 1.0, ("a1", "b0"): -1.0, ("b1",): 1.0, ("a0", "b1"): -1.0}
+# the first of them alone, which the party swap does not fix
+ONE_SIDED = {("a1", "b0"): 1.0}
 
 
-@pytest.mark.parametrize("objective", [None, CHSH, PENALTIES],
-                         ids=["score", "chsh", "penalties"])
+@pytest.mark.parametrize("objective", [None, CHSH, PENALTIES, ONE_SIDED],
+                         ids=["score", "chsh", "penalties", "one-sided"])
 @pytest.mark.parametrize("eps", [0.0, 0.1])
 @pytest.mark.parametrize("level", LEVELS)
 def test_assembly_equals_the_per_cell_reference(level, eps, objective):
@@ -199,6 +226,69 @@ def test_assembly_keys_each_distinct_word_once(eps, monkeypatch):
     for name, log in calls.items():
         assert len(log) == len(set(log)) and set(log) <= distinct, name
     assert len(calls["merged_key" if eps == 0.0 else "plain_key"]) == 85
+
+
+@pytest.mark.parametrize("level, eps, classes, rows", [
+    ("3", 0.1, (35, 63), (2, 3)), ("3", 0.0, (20, 34), (1, 1)),
+    ("2", 0.1, (19, 33), (2, 3)), ("2", 0.0, (12, 20), (1, 1)),
+])
+def test_swap_orbits_need_a_swap_invariant_objective(level, eps, classes, rows):
+    # the score merges each class with its swap and the two eps rows;
+    # an objective on a1 b0 alone keeps the plain classes and both rows
+    for objective, k, r in zip((None, ONE_SIDED), classes, rows):
+        rel = npa._relaxation(build_problem(level, eps, objective))
+        assert (len(rel.c), len(rel.A)) == (k, r)
+
+
+@pytest.mark.parametrize("objective", [None, ONE_SIDED], ids=["score", "one-sided"])
+@pytest.mark.parametrize("level, eps", [("2", 0.0), ("2", 0.1), ("3", 0.0), ("3", 0.1)])
+def test_class_table_kernels_equal_the_dense_stack(level, eps, objective):
+    # the solver's gather, cell sums and Schur complement bins against
+    # products with the 0/1 class matrices
+    rel = npa._relaxation(build_problem(level, eps, objective))
+    E = rel.E
+    K, m = E.shape[:2]
+    rng = np.random.default_rng(7)
+    y = rng.normal(size=K)
+    B, C = rng.normal(size=(2, m, m))
+    Z, W = B @ B.T, C @ C.T
+    assert np.array_equal(rel.X(y), np.einsum("k,kij->ij", y, E))
+    assert np.allclose(rel.adj(Z), np.einsum("kij,ij->k", E, Z), rtol=0, atol=1e-12)
+    ZEW = (Z @ rel.Eh).reshape(m * K, m) @ W
+    M = np.bincount(rel.m_bins, ZEW.ravel(), K * K + 1)[:-1].reshape(K, K)
+    want = np.einsum("kij,jp,lpq,qi->kl", E, Z, E, W, optimize=True)
+    assert np.allclose(M, want, rtol=1e-12, atol=1e-10)
+
+
+def _unmerged_relaxation(level, eps, objective):
+    """The per-cell reference without swap orbits, as a relaxation the
+    solver runs."""
+    E, A, c, slack, lift = _per_cell_relaxation(
+        level, eps == 0.0, eps != 0.0, objective, orbits=False)
+    rel = object.__new__(npa._Relaxation)
+    rel.idx = np.where(E.any(axis=0), E.argmax(axis=0), len(E))
+    rel.A, rel.c, rel.slack, rel.lift = A, c, slack, lift
+    return rel
+
+
+# the levels and eps of the benchmark's npa-upper workload
+NPA_UPPER_GRID = {"2": (0.0, 0.05, 0.15, 0.2, 0.3, 0.4), "3": (0.0, 0.05, 0.15, 0.3)}
+
+
+@pytest.mark.parametrize("level, eps", [(lv, e) for lv, grid in NPA_UPPER_GRID.items()
+                                        for e in grid])
+def test_orbit_bound_equals_the_unmerged_bound(level, eps, monkeypatch):
+    # the swap-invariant relaxation has the same maximum as the full one,
+    # and both certify bounds on every attainable score
+    p = build_problem(level, eps)
+    merged = solve(p)
+    monkeypatch.setitem(npa._relaxation_cache, (p.level, eps == 0.0, p.objective),
+                        _unmerged_relaxation(level, eps, p.objective))
+    full = solve(p)
+    assert merged.status == full.status == "Converged"
+    assert abs(merged.value - full.value) < 1e-8
+    attainable = max(oracles.OPT_SCORE, oracles.NONIDEAL_SCORES.get(eps, 0.0))
+    assert merged.value >= attainable and full.value >= attainable
 
 
 @pytest.mark.parametrize("objective", [{("x0",): 1.0}, {("a1", "z9"): 1.0, ("a0", "b0"): -1.0}],
