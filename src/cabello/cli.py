@@ -130,7 +130,7 @@ def _run_verify_formula(o, out) -> int:
         # per sample, in stream order: alpha, beta, c, delta, phi, xi
         u = rng.random((min(_VERIFY_CHUNK, o["samples"] - start), 6))
         a, b = _uniform(u[:, :2], 0.05, np.pi - 0.05).T
-        cmax = 1.0 / np.sqrt(1 + np.tan(a / 2) ** 2 + np.tan(b / 2) ** 2)
+        cmax = 1.0 / np.sqrt(qubit.norm_factor(a, b))
         c = _uniform(u[:, 2], 0.0, 0.999) * cmax
         d, ph, xi = _uniform(u[:, 3:], 0.0, 2 * np.pi).T
         p = qubit.ConstrainedStateParams(

@@ -63,20 +63,23 @@ case. On the zero face the Gram vectors of a1 and a1 b0 coincide (their
 distance squared is the first penalized moment), likewise b1 and a0 b1,
 which induces word rewrites: a trailing a1 on the Alice side absorbs a
 trailing b0 on the Bob side, and a trailing b1 absorbs a trailing a0.
-Moment classes are merged under the closure of these rewrites and
-adjoints (the party swap exchanges the two rewrites, so it maps merged
-classes onto merged classes); the inequality rows hold identically on
-the merged classes, so they and their slacks are dropped, and the
-reduced problem regains a strictly feasible interior. Every feasible
-point of the original problem satisfies the merges, so a bound on the
-reduced problem also bounds the original, and its class vector lifts
-exactly onto the full moment matrix.
+A word and its rewrite have one moment, so the moment classes become
+the connected components of the words under rewrites and adjoints, and
+the matrix keeps only the words that no rewrite applies to (the party
+swap exchanges the two rewrites, so it maps components onto
+components). The inequality rows hold identically on these classes, so
+they and their slacks are dropped, and the reduced problem regains a
+strictly feasible interior. Every feasible point of the original
+problem satisfies the merges, so a bound on the reduced problem also
+bounds the original, and its class vector lifts exactly onto the full
+moment matrix.
 """
 
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -132,83 +135,24 @@ def words_for_level(level) -> list[Word]:
         return words_for_level("1+AB") + [("a0", "a1"), ("a1", "a0"),
                                           ("b0", "b1"), ("b1", "b0")]
     if lv == "3":
-        def party_words(p, maxlen):
-            res, frontier = [()], [()]
-            for _ in range(maxlen):
-                nxt = []
-                for w in frontier:
-                    for s in ("0", "1"):
-                        l = p + s
-                        if w and w[-1] == l:
-                            continue
-                        nxt.append(w + (l,))
-                res += nxt
-                frontier = nxt
-            return res
-
-        out = set()
-        for x in party_words("a", 3):
-            for y in party_words("b", 3):
-                if len(x) + len(y) <= 3:
-                    out.add(canonical(x + y))
-        return sorted(out, key=lambda w: (len(w), w))
+        # product() runs through each length in lexicographic order
+        return [w for n in range(4) for w in itertools.product(LETTERS, repeat=n)
+                if canonical(w) == w]
     raise UnsupportedLevelError(f"level must be one of {LEVELS}, got {level!r}")
 
 
 # -- zero-face rewrites -------------------------------------------------
 
-def strip_once(w: Word) -> tuple[Word, bool]:
-    """Apply one zero-face rewrite if possible (see module docstring)."""
+def strip_once(w: Word) -> Word:
+    """w with one zero-face rewrite applied, or w itself if none applies
+    (see module docstring)."""
     a = [l for l in w if l[0] == "a"]
     b = [l for l in w if l[0] == "b"]
     if a and b and a[-1] == "a1" and b[-1] == "b0":
-        return tuple(a + b[:-1]), True
+        return tuple(a + b[:-1])
     if a and b and b[-1] == "b1" and a[-1] == "a0":
-        return tuple(a[:-1] + b), True
-    return w, False
-
-
-def strip_fix(w: Word) -> Word:
-    """Iterate strip_once to its fixed point."""
-    while True:
-        w, did = strip_once(w)
-        if not did:
-            return w
-
-
-def _closure(w: Word) -> set[Word]:
-    """All words reachable from w by rewrites and adjoints."""
-    seen: set[Word] = set()
-    frontier = {canonical(w)}
-    while frontier:
-        nxt = set()
-        for x in frontier:
-            if x in seen:
-                continue
-            seen.add(x)
-            for y in (strip_once(x)[0], adjoint(x)):
-                if y not in seen:
-                    nxt.add(y)
-        frontier = nxt
-    return seen
-
-
-def merged_key(w: Word) -> Word:
-    """Canonical representative of w's moment class on the zero face.
-
-    The representative is the smallest element of the rewrite/adjoint
-    closure that neither it nor its adjoint can rewrite further; taking
-    the minimum over reducible elements instead would split classes
-    that meet only after an adjoint step.
-    """
-    cl = _closure(w)
-    term = [x for x in cl if not strip_once(x)[1] and not strip_once(adjoint(x))[1]]
-    return min(term)
-
-
-def plain_key(w: Word) -> Word:
-    """Moment-class representative from hermitian symmetry alone."""
-    return min(w, adjoint(w))
+        return tuple(a[:-1] + b)
+    return w
 
 
 # -- problem assembly ---------------------------------------------------
@@ -260,14 +204,17 @@ def swap(w: Word) -> Word:
 def _table(level: str) -> tuple[list[Word], dict[Word, int], np.ndarray, np.ndarray]:
     """The level's words, its distinct cell words u^dag v (in first-seen
     order, each mapped to its position), the position of every cell's
-    word and the position of each distinct word's party swap. Formed
-    once per level and shared by both routes; level 3 has 85 distinct
-    words in its 625 cells."""
+    word and, per distinct word, the positions of its adjoint, its
+    zero-face rewrite and its party swap, as the rows of one array. The
+    distinct words are closed under all three maps. Formed once per
+    level and shared by both routes; level 3 has 85 distinct words in
+    its 625 cells."""
     full = words_for_level(level)
     words: dict[Word, int] = {}
     cell = np.array([[words.setdefault(canonical(tuple(reversed(u)) + v), len(words))
                       for v in full] for u in full])
-    return full, words, cell, np.array([words[swap(w)] for w in words])
+    return full, words, cell, np.array([[words[f(w)] for w in words]
+                                        for f in (adjoint, strip_once, swap)])
 
 
 class _Relaxation:
@@ -281,14 +228,17 @@ class _Relaxation:
     only moves the right-hand side, so one object serves every eps of a
     route at a level.
 
-    Each distinct cell word is keyed once, by its merged class on the
-    reduced route and by its plain class otherwise, where the
-    pseudo-words ('s1',), ('s2',) key two appended diagonal cells. When
-    the objective's coefficients are swap-invariant on these classes,
-    each word is keyed instead by the smaller key of its class and its
-    swap's (see the module docstring), so ('s2',) joins ('s1',) and the
-    two eps rows coincide. Every array is read from the one table of
-    class indices this gives.
+    The moment classes are the connected components of a graph on the
+    distinct cell words, plus the pseudo-words ('s1',), ('s2',) of two
+    appended diagonal cells off the reduced route. Every word is joined
+    to its adjoint, on the reduced route also to its zero-face rewrite,
+    and, when the objective takes equal coefficients on every component
+    and on its swap's, to its party swap, with s1 <-> s2 (see the module
+    docstring), so the two eps rows coincide. A class is named by its
+    shortest, then lexicographically smallest, member and the classes
+    are ordered by (length, name); every array is read from the one
+    table of class indices this gives. The reduced route keeps the
+    words that the rewrite leaves unchanged.
 
     The objective is checked against the plain moments of the full
     level on every route: the reduced route alone would accept a word
@@ -296,26 +246,42 @@ class _Relaxation:
     """
 
     def __init__(self, level: str, reduced: bool, objective):
-        full, words, cell, twin = _table(level)
+        full, words, cell, (adj, rewrite, twin) = _table(level)
         # the table is closed under adjoints, so a canonical word has a
         # plain moment exactly when it is a cell word
         for w, _ in objective:
             if w not in words:
                 raise ValueError(f"word {w} has no moment at this level")
-        keyfn = merged_key if reduced else plain_key
         slacks = [] if reduced else [("s1",), ("s2",)]
-        key = [keyfn(w) for w in words] + slacks
+        nodes = [*words, *slacks]
+        root = list(range(len(nodes)))  # union-find forest, roots name classes
+
+        def find(i: int) -> int:
+            while root[i] != i:
+                root[i] = root[root[i]]
+                i = root[i]
+            return i
+
+        def join(pairs) -> None:
+            for i, j in pairs:
+                i, j = sorted((find(i), find(j)), key=lambda r: (len(nodes[r]), nodes[r]))
+                root[j] = i
+
+        join(enumerate(adj))
+        if reduced:
+            join(enumerate(rewrite))
         # a class and its swap become one when the objective takes equal
-        # coefficients on both (see the module docstring)
-        swapped = [key[i] for i in twin] + slacks[::-1]
-        coef: dict[Word, float] = {}
+        # coefficients on both (see the module docstring); the swap of
+        # ('s1',) is ('s2',)
+        mirror = [*twin, len(words) + 1, len(words)][:len(nodes)]
+        coef: dict[int, float] = {}
         for w, cf in objective:
-            k = key[words[w]]
-            coef[k] = coef.get(k, 0.0) + cf
-        partner = dict(zip(key, swapped))
-        if all(cf == coef.get(partner[k], 0.0) for k, cf in coef.items()):
-            key = [min(k, t) for k, t in zip(key, swapped)]
-        kept = [i for i, w in enumerate(full) if not reduced or strip_fix(w) == w]
+            r = find(words[w])
+            coef[r] = coef.get(r, 0.0) + cf
+        if all(cf == coef.get(find(mirror[r]), 0.0) for r, cf in coef.items()):
+            join(enumerate(mirror))
+        key = [nodes[find(i)] for i in range(len(nodes))]
+        kept = [i for i, w in enumerate(full) if not reduced or rewrite[words[w]] == words[w]]
         inner = cell[np.ix_(kept, kept)]
         keys = sorted({key[i] for i in inner.flat}.union(key[len(words):]),
                       key=lambda k: (len(k), k))

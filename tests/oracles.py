@@ -126,6 +126,57 @@ CLI_STDOUT = {
 }
 
 
+def _word(letters) -> tuple[str, ...]:
+    """Alice letters before Bob letters, adjacent duplicates dropped."""
+    out: list[str] = []
+    for ltr in sorted(letters, key=lambda x: x[0]):  # stable: keeps each party's order
+        if not out or out[-1] != ltr:
+            out.append(ltr)
+    return tuple(out)
+
+
+def plain_key(w):
+    """Moment class of a word under hermitian symmetry alone: the
+    smaller of the word and its adjoint."""
+    return min(_word(w), _word(reversed(w)))
+
+
+def _rewrite(w):
+    """One zero-face rewrite (a trailing a1 absorbs a trailing b0, a
+    trailing b1 absorbs a trailing a0), or None when none applies."""
+    a = [x for x in w if x[0] == "a"]
+    b = [x for x in w if x[0] == "b"]
+    if a[-1:] == ["a1"] and b[-1:] == ["b0"]:
+        return tuple(a + b[:-1])
+    if a[-1:] == ["a0"] and b[-1:] == ["b1"]:
+        return tuple(a[:-1] + b)
+    return None
+
+
+def strip_fix(w):
+    """A word with zero-face rewrites applied until none applies."""
+    w = _word(w)
+    while _rewrite(w) is not None:
+        w = _rewrite(w)
+    return w
+
+
+def merged_key(w):
+    """Moment class of a word on the eps = 0 face, by walking every word
+    reachable through rewrites and adjoints. The key is the smallest
+    reachable word that neither it nor its adjoint can rewrite; the
+    smallest over all reachable words would split classes that meet
+    only after an adjoint step."""
+    seen, todo = set(), [_word(w)]
+    while todo:
+        x = todo.pop()
+        if x not in seen:
+            seen.add(x)
+            todo += [y for y in (_rewrite(x), _word(reversed(x))) if y is not None]
+    return min(x for x in seen
+               if _rewrite(x) is None and _rewrite(_word(reversed(x))) is None)
+
+
 def lp_vertex_oracle(c, A, b):
     """Brute-force optimum of max c.x, A x <= b, x >= 0 by enumerating
     candidate basic points (every choice of n active constraints).

@@ -17,7 +17,6 @@ from cabello.npa import (
     build_problem,
     canonical,
     npa_upper_bound,
-    plain_key,
     solve,
     words_for_level,
 )
@@ -38,6 +37,11 @@ def test_word_counts_per_level():
         assert len(ws) == count
         assert ws[0] == ()
         assert len(set(ws)) == count
+    # level 3 is every canonical word of up to three letters, in (length,
+    # word) order; level 2 keeps its own order
+    ws = words_for_level("3")
+    assert ws == sorted(ws, key=lambda w: (len(w), w))
+    assert all(canonical(w) == w for w in ws)
 
 
 def test_unsupported_level_rejected():
@@ -75,7 +79,7 @@ def test_adjoint_class_consistency(w, v):
     wv = canonical(tuple(reversed(w)) + v)
     vw = canonical(tuple(reversed(v)) + w)
     assert adjoint(wv) == vw or canonical(adjoint(wv)) == vw
-    assert plain_key(wv) == plain_key(vw)
+    assert oracles.plain_key(wv) == oracles.plain_key(vw)
 
 
 def test_eps_enters_rhs_only(monkeypatch):
@@ -139,8 +143,8 @@ def _per_cell_relaxation(level, reduced, slacks, objective, orbits=True):
     c, the slack flags and the lift."""
     full = words_for_level(level)
     cells = [[canonical(tuple(reversed(u)) + v) for v in full] for u in full]
-    words = [w for w in full if npa.strip_fix(w) == w] if reduced else full
-    base = npa.merged_key if reduced else plain_key
+    words = [w for w in full if oracles.strip_fix(w) == w] if reduced else full
+    base = oracles.merged_key if reduced else oracles.plain_key
 
     def totals(swapped):
         out = {}
@@ -211,11 +215,13 @@ def test_assembly_equals_the_per_cell_reference(level, eps, objective):
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
-def test_assembly_keys_each_distinct_word_once(eps, monkeypatch):
-    # level 3 has 85 distinct cell words in 625 cells; each word function
-    # that keys classes runs at most once per distinct word
+def test_assembly_maps_each_distinct_word_once(eps, monkeypatch):
+    # level 3 has 85 distinct cell words in 625 cells; one assembly from
+    # an empty cache takes the adjoint and the zero-face rewrite of each
+    # distinct word at most once
     monkeypatch.setattr(npa, "_relaxation_cache", {})
-    calls = {"merged_key": [], "plain_key": []}
+    npa._table.cache_clear()
+    calls = {"adjoint": [], "strip_once": []}
     for name, log in calls.items():
         fn = getattr(npa, name)
         monkeypatch.setattr(npa, name, lambda w, fn=fn, log=log: log.append(w) or fn(w))
@@ -225,7 +231,6 @@ def test_assembly_keys_each_distinct_word_once(eps, monkeypatch):
     assert len(distinct) == 85
     for name, log in calls.items():
         assert len(log) == len(set(log)) and set(log) <= distinct, name
-    assert len(calls["merged_key" if eps == 0.0 else "plain_key"]) == 85
 
 
 @pytest.mark.parametrize("level, eps, classes, rows", [
@@ -386,7 +391,7 @@ def test_solution_is_class_consistent_and_nearly_psd():
         classes = {}
         for i, u in enumerate(words):
             for j, v in enumerate(words):
-                key = plain_key(canonical(tuple(reversed(u)) + v))
+                key = oracles.plain_key(canonical(tuple(reversed(u)) + v))
                 classes.setdefault(key, []).append(g[i, j])
         for cells in classes.values():
             assert max(cells) - min(cells) < 1e-6
