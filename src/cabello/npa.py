@@ -307,15 +307,10 @@ class _Relaxation:
         self.A = np.array([row(r.items()) for r in rows[:1 + len(set(key[len(words):]))]])
         self.c = row(objective)
 
-    @property
-    def E(self) -> np.ndarray:
-        """The 0/1 cell matrices of the classes, as a stack."""
-        return (self.idx == np.arange(len(self.c))[:, None, None]).astype(float)
-
     @functools.cached_property
     def Eh(self) -> np.ndarray:
-        """The cell matrices side by side, Eh[p, l m + q] = E_l[p, q], so
-        that Z Eh stacks Z E_l over the classes l."""
+        """The class matrices E_l side by side, Eh[p, l m + q] = E_l[p, q],
+        so that Z Eh stacks Z E_l over the classes l."""
         K, m = len(self.c), len(self.idx)
         return (self.idx[:, None] == np.arange(K)[:, None]).reshape(m, K * m).astype(float)
 

@@ -28,11 +28,6 @@ TWO_PI = 2 * pi
 
 _NORM_TOL = 1e-10
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
 class OutOfRangeError(ValueError):
     """Parameter outside its declared range."""
 
@@ -43,10 +38,6 @@ class NotNormalizableError(ValueError):
 
 class NotNormalizedError(ValueError):
     """Ansatz amplitudes do not satisfy s00^2 + 2 s01^2 + s11^2 = 1."""
-
-
-class InvalidEffectError(ValueError):
-    """POVM effect parameters violate positivity."""
 
 
 def _first_bad(ok, *values):
@@ -125,18 +116,6 @@ class AnsatzParams:
 
     def norm_defect(self) -> float:
         return self.s00 ** 2 + 2 * self.s01 ** 2 + self.s11 ** 2 - 1.0
-
-
-@dataclass(frozen=True)
-class QubitPovmEffect:
-    """Binary qubit effect E = a0 I + eta (axis . sigma).
-
-    Positivity of E and I - E requires 0 <= eta <= min(a0, 1 - a0).
-    """
-
-    a0: float
-    eta: float
-    axis: tuple[float, float, float]
 
 
 _Z_PAIR = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
@@ -290,33 +269,3 @@ def ansatz_state(p: AnsatzParams) -> np.ndarray:
         p.s11,
     ])
 
-
-def decompose_povm(e: QubitPovmEffect):
-    """Write the binary POVM {E, I-E} as a mixture of three projective
-    measurements.
-
-    Returns [(weight, (first effect, second effect)), ...] with weights
-    (a0 - eta, 1 - a0 - eta, 2 eta): the always-plus measurement, the
-    always-minus measurement, and the projective measurement along the
-    effect axis. The weighted first effects reconstruct E exactly.
-    """
-    a0, eta = e.a0, e.eta
-    axis = np.asarray(e.axis, dtype=float)
-    if not 0.0 <= a0 <= 1.0:
-        raise InvalidEffectError(f"a0 must lie in [0, 1]: got {a0}")
-    if not -1e-12 <= eta <= min(a0, 1.0 - a0) + 1e-12:
-        raise InvalidEffectError(
-            f"eta = {eta} outside [0, min(a0, 1-a0)] = [0, {min(a0, 1.0 - a0)}]"
-        )
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-10:
-        raise InvalidEffectError(f"axis norm {np.linalg.norm(axis)} != 1")
-    eye = np.eye(2, dtype=complex)
-    zero = np.zeros((2, 2), dtype=complex)
-    n_sigma = axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z
-    m3_plus = (eye + n_sigma) / 2
-    m3_minus = (eye - n_sigma) / 2
-    return [
-        (a0 - eta, (eye, zero)),
-        (1.0 - a0 - eta, (zero, eye)),
-        (2.0 * eta, (m3_plus, m3_minus)),
-    ]

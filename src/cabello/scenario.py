@@ -87,27 +87,18 @@ class DeterministicStrategy:
 def _stack_measurements(proj, n: int, dim: int, who: str, batched: bool) -> np.ndarray:
     """Projectors as one (sample, setting, outcome, dim, dim) array, checked.
 
-    Shapes come first: each projector's for a single call, the whole
-    stack's for a batch. Then hermiticity, idempotence and completeness
-    over the stack, in that order; an error names the first failing
-    sample of a batch.
+    A single call's first two settings are stacked as the batch of one.
+    The stack's shape is checked first, then hermiticity, idempotence
+    and completeness over the stack, in that order; an error names the
+    first failing sample of a batch.
     """
-    if batched:
-        P = np.asarray(proj, dtype=complex)
-        if P.shape != (n, 2, 2, dim, dim):
-            raise InvalidMeasurementError(
-                f"{who}: projector stack shape {P.shape} != {(n, 2, 2, dim, dim)}")
-    else:
-        proj = [proj[0], proj[1]]
-        for x, ops in enumerate(proj):
-            if len(ops) != 2:
-                raise InvalidMeasurementError(
-                    f"{who} setting {x}: need exactly two projectors per setting")
-            for pi in ops:
-                if np.shape(pi) != (dim, dim):
-                    raise InvalidMeasurementError(
-                        f"{who} setting {x}: projector shape {np.shape(pi)} != {(dim, dim)}")
-        P = np.array([proj], dtype=complex)
+    try:
+        P = np.asarray(proj if batched else [proj[:2]], dtype=complex)
+    except ValueError as e:  # ragged: projectors of unequal shapes
+        raise InvalidMeasurementError(f"{who}: projectors of unequal shapes") from e
+    if P.shape != (n, 2, 2, dim, dim):
+        raise InvalidMeasurementError(
+            f"{who}: projector stack shape {P.shape} != {(n, 2, 2, dim, dim)}")
     errs = (
         (np.linalg.norm(P - np.conj(P).swapaxes(-1, -2), axis=(-2, -1)),
          "projector not Hermitian"),
@@ -292,9 +283,11 @@ def local_max_score(eps: float) -> float:
     The best mixture of the deterministic vertices subject to
     e10 <= eps, e01 <= eps, found by ``solve_lp``. Always feasible (the
     all-"+" strategy has e10 = e01 = 0), so there is an optimum for
-    every eps >= 0.
+    every eps >= 0. Every vertex has e10, e01 in {0, 1}, so both rows are
+    vacuous from eps = 1 on, and the LP is solved at min(eps, 1), which
+    keeps its Cramer products finite at any finite eps.
     """
     if not 0.0 <= eps < np.inf:
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
-    value, _ = solve_lp(_VERTICES, eps)
+    value, _ = solve_lp(_VERTICES, min(eps, 1.0))
     return value + 0.0  # normalize -0.0

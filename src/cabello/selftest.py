@@ -7,6 +7,8 @@ optimal two-qubit state across block pairs. The extraction isometry
 appends one ancilla qubit per party and routes each block's qubit onto
 the ancilla, leaving a junk register behind; fidelity of the reduced
 ancilla pair against the optimal state is the verified figure of merit.
+The ancillas start in |0>, so only the isometry's action on the
+ancilla-|0> sector is ever used, and it is applied as an index map.
 
 Basis convention, fixed globally: even indices of each local space are
 "+" eigenvectors of the first (computational) setting, odd indices are
@@ -26,10 +28,6 @@ from .qubit import AnsatzParams, MeasurementParams, analytic_optimum, ansatz_sta
 
 class BadWeightsError(ValueError):
     """Direct-sum weights are negative or do not sum to one."""
-
-
-class OddDimensionError(ValueError):
-    """Extraction requires even local dimensions (paired +/- vectors)."""
 
 
 class BasisMismatchError(ValueError):
@@ -81,23 +79,11 @@ class DirectSumState:
     def vector(self) -> np.ndarray:
         """Assembled global state on dims (2 nA) x (2 nB), flattened."""
         na, nb = self.mu.shape
-        da, db = self.dims
-        chi = np.zeros((da, db), dtype=complex)
-        for i in range(na):
-            for j in range(nb):
-                if self.mu[i, j] <= 1e-300:
-                    continue
-                blk = np.sqrt(self.mu[i, j]) * self.block_states[i, j].reshape(2, 2)
-                chi[2 * i:2 * i + 2, 2 * j:2 * j + 2] = blk
-        return chi.reshape(-1)
-
-
-@dataclass(frozen=True)
-class ExtractionIsometry:
-    """Local extraction maps, one per party, on system (x) ancilla."""
-
-    phi_a: np.ndarray
-    phi_b: np.ndarray
+        mu = self.mu[..., None]
+        # masked after the product, so that an empty cell is +0 whatever
+        # its placeholder state holds
+        blocks = np.where(mu > 1e-300, np.sqrt(np.maximum(mu, 0.0)) * self.block_states, 0)
+        return blocks.reshape(na, nb, 2, 2).transpose(0, 2, 1, 3).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -155,42 +141,13 @@ def assemble_direct_sum(weights, phases: tuple[float, float] = (0.0, 0.0)) -> Di
     return DirectSumState(mu=mu, block_states=bs, phi=phi, xi=xi)
 
 
-def extraction_isometry(da: int, db: int) -> ExtractionIsometry:
-    """Local ancilla-qubit isometries for even dims (da, db).
-
-    On the ancilla-|0> sector: |2k, 0> stays put and |2k+1, 0> moves to
-    |2k, 1>, copying the block qubit onto the ancilla. The map is
-    completed to the ancilla-|1> sector by the canonical index-ordered
-    choice |2k, 1> -> |2k+1, 0>, |2k+1, 1> -> |2k+1, 1>, which makes
-    each party's map a permutation (hence exactly an isometry); the
-    completion never acts on assembled inputs. ``_ancilla_pair``
-    applies the ancilla-|0> sector as an index map instead of these
-    matrices.
-    """
-
-    def local(d: int) -> np.ndarray:
-        if d % 2:
-            raise OddDimensionError(f"local dimension must be even, got {d}")
-        p = np.zeros((2 * d, 2 * d))
-        for n in range(d):
-            for anc in (0, 1):
-                if anc == 0:
-                    out = (n, 0) if n % 2 == 0 else (n - 1, 1)
-                else:
-                    out = (n + 1, 0) if n % 2 == 0 else (n, 1)
-                p[out[0] * 2 + out[1], n * 2 + anc] = 1.0
-        return p
-
-    return ExtractionIsometry(phi_a=local(da), phi_b=local(db))
-
-
 def _ancilla_pair(state: DirectSumState) -> np.ndarray:
     """Reduced density matrix of the two ancillas after extraction.
 
-    The state tensored with |00> on the ancillas is pushed through
-    Phi_A (x) Phi_B of ``extraction_isometry`` and the system registers
-    are traced out. On the ancilla-|0> sector each map sends |2k+a>|0>
-    to |2k>|a>, so it is applied as that index map: the amplitude of
+    The state tensored with |00> on the ancillas is pushed through the
+    local extraction isometries and the system registers are traced
+    out. On the ancilla-|0> sector each party's isometry sends
+    |2k+a>|0> to |2k>|a>, so it acts as an index map: the amplitude of
     |2k+a, 2l+b> becomes that of ancillas |a, b> with junk |2k, 2l>, and
     the odd junk indices stay empty.
     """
@@ -206,16 +163,13 @@ def verify_selftest(state: DirectSumState) -> IsometryReport:
     optimal two-qubit state at the state's phases via the pure-reference
     overlap <ref|rho|ref>.
     """
-    na, nb = state.mu.shape
     rho = _ancilla_pair(state)
     ref = optimal_block_state(state.phi, state.xi)
     fid = float(np.real(np.vdot(ref, rho @ ref)))
     fid = min(max(fid, 0.0), 1.0)
     blocks = []
-    for i in range(na):
-        for j in range(nb):
-            if state.mu[i, j] > 1e-12:
-                ov = min(abs(np.vdot(ref, state.block_states[i, j])) ** 2, 1.0)
-                blocks.append({"i": i, "j": j, "weight": float(state.mu[i, j]),
-                               "overlap": float(ov)})
+    for i, j in zip(*np.nonzero(state.mu > 1e-12)):
+        ov = min(abs(np.vdot(ref, state.block_states[i, j])) ** 2, 1.0)
+        blocks.append({"i": int(i), "j": int(j), "weight": float(state.mu[i, j]),
+                       "overlap": float(ov)})
     return IsometryReport(fidelity=fid, junk_dims=state.dims, blocks=tuple(blocks))

@@ -308,3 +308,29 @@ def random_local_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
+
+def extraction_isometry(da: int, db: int) -> tuple[np.ndarray, np.ndarray]:
+    """The local extraction isometries (Phi_A, Phi_B) for even dims
+    (da, db) as permutation matrices on system (x) ancilla, basis index
+    2 n + ancilla.
+
+    On the ancilla-|0> sector |2k, 0> stays put and |2k+1, 0> moves to
+    |2k, 1>, copying the block qubit onto the ancilla. The map is
+    completed to the ancilla-|1> sector by the index-ordered choice
+    |2k, 1> -> |2k+1, 0>, |2k+1, 1> -> |2k+1, 1>, which makes each
+    party's map a permutation (hence exactly an isometry); the
+    completion never acts on states with both ancillas in |0>.
+    """
+
+    def local(d: int) -> np.ndarray:
+        p = np.zeros((2 * d, 2 * d))
+        for n in range(d):
+            for anc in (0, 1):
+                if anc == 0:
+                    out = (n, 0) if n % 2 == 0 else (n - 1, 1)
+                else:
+                    out = (n + 1, 0) if n % 2 == 0 else (n, 1)
+                p[out[0] * 2 + out[1], n * 2 + anc] = 1.0
+        return p
+
+    return local(da), local(db)

@@ -21,15 +21,10 @@ from cabello.qubit import (
     AnsatzParams,
     ConstrainedStateParams,
     MeasurementParams,
-    QubitPovmEffect,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     analytic_optimum,
     ansatz_state,
     closed_form_score,
     constrained_state,
-    decompose_povm,
     projectors,
 )
 from cabello.scenario import behavior_from_quantum, cabello_stats, local_max_score
@@ -234,17 +229,5 @@ def test_criterion_10_property_suites_condensed():
     # NPA level and eps monotonicity
     assert npa_upper_bound("1+AB", eps=0.0) <= npa_upper_bound("1", eps=0.0) + 1e-6
     assert npa_upper_bound("1", eps=0.1) >= npa_upper_bound("1", eps=0.0) - 1e-6
-
-    # POVM decomposition reconstruction
-    for _ in range(100):
-        a0 = float(rng.uniform(0, 1))
-        eta = float(rng.uniform(0, min(a0, 1 - a0)))
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        E = a0 * np.eye(2, dtype=complex) + eta * (
-            axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z)
-        parts = decompose_povm(QubitPovmEffect(a0=a0, eta=eta, axis=axis))
-        recon = sum(w * meas[0] for w, meas in parts)
-        assert np.abs(recon - E).max() < 1e-12
 
     assert time.perf_counter() - t0 < 120.0

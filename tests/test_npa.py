@@ -100,9 +100,9 @@ def test_problem_shape_with_and_without_slacks(monkeypatch):
     slack, reduced = npa._relaxation_cache.values()
     # two slack diagonal cells appended; the score is swap-invariant, so
     # the two inequality rows are one
-    assert slack.E.shape[1:] == (7, 7) and slack.A.shape[0] == 2
+    assert slack.idx.shape == (7, 7) and slack.A.shape[0] == 2
     # the presolve drops the slacks and keeps only the normalization row
-    assert reduced.E.shape[1:] == (5, 5) and reduced.A.shape[0] == 1
+    assert reduced.idx.shape == (5, 5) and reduced.A.shape[0] == 1
     for eps in (0.1, 0.0):
         assert solve(build_problem("1", eps=eps)).moment_matrix.shape == (5, 5)
 
@@ -195,6 +195,12 @@ def _per_cell_relaxation(level, reduced, slacks, objective, orbits=True):
     return E, np.array(rows), row(dict(objective)), slack, lift
 
 
+def _class_stack(rel):
+    """The 0/1 cell matrices E_k of the classes, as a stack, from the
+    class table."""
+    return (rel.idx == np.arange(len(rel.c))[:, None, None]).astype(float)
+
+
 # the two penalized probabilities, whose words share a class at eps = 0
 PENALTIES = {("a1",): 1.0, ("a1", "b0"): -1.0, ("b1",): 1.0, ("a0", "b1"): -1.0}
 # the first of them alone, which the party swap does not fix
@@ -209,7 +215,7 @@ def test_assembly_equals_the_per_cell_reference(level, eps, objective):
     p = build_problem(level, eps, objective)
     rel = npa._relaxation(p)
     want = _per_cell_relaxation(level, eps == 0.0, eps != 0.0, p.objective)
-    got = (rel.E, rel.A, rel.c, rel.slack, rel.lift)
+    got = (_class_stack(rel), rel.A, rel.c, rel.slack, rel.lift)
     for name, g, w in zip(("E", "A", "c", "slack", "lift"), got, want):
         assert np.array_equal(g, w), name
 
@@ -251,7 +257,7 @@ def test_class_table_kernels_equal_the_dense_stack(level, eps, objective):
     # the solver's gather, cell sums and Schur complement bins against
     # products with the 0/1 class matrices
     rel = npa._relaxation(build_problem(level, eps, objective))
-    E = rel.E
+    E = _class_stack(rel)
     K, m = E.shape[:2]
     rng = np.random.default_rng(7)
     y = rng.normal(size=K)

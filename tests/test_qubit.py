@@ -1,5 +1,6 @@
 """Tests for the constrained two-qubit family, the closed-form score,
-the analytic optimum, the ansatz family, and the POVM decomposition."""
+the analytic optimum, the ansatz family and the projective
+measurements."""
 
 import re
 
@@ -8,21 +9,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cabello.qubit import (
-    SIGMA_X,
-    SIGMA_Z,
     AnsatzParams,
     ConstrainedStateParams,
-    InvalidEffectError,
     MeasurementParams,
     NotNormalizableError,
     NotNormalizedError,
     OutOfRangeError,
-    QubitPovmEffect,
     analytic_optimum,
     ansatz_state,
     closed_form_score,
     constrained_state,
-    decompose_povm,
     projectors,
 )
 from cabello.scenario import behavior_from_quantum, cabello_stats
@@ -301,64 +297,3 @@ def test_ansatz_phases_enter_as_stated():
     assert_allclose(state[1], 0.4 * np.exp(-1j * 0.7), atol=1e-14)
     assert_allclose(state[2], 0.4 * np.exp(-1j * 2.1), atol=1e-14)
     assert_allclose(state[3], p.s11, atol=1e-14)
-
-
-def test_povm_trivial_mixture():
-    e = QubitPovmEffect(a0=0.5, eta=0.0, axis=np.array([0.0, 0.0, 1.0]))
-    parts = decompose_povm(e)
-    weights = [w for w, _ in parts]
-    assert_allclose(weights, [0.5, 0.5, 0.0], atol=1e-14)
-
-
-def test_povm_projective_case():
-    e = QubitPovmEffect(a0=0.5, eta=0.5, axis=np.array([0.0, 0.0, 1.0]))
-    parts = decompose_povm(e)
-    weights = [w for w, _ in parts]
-    assert_allclose(weights, [0.0, 0.0, 1.0], atol=1e-14)
-    proj_plus = parts[2][1][0]
-    assert_allclose(proj_plus, np.diag([1.0, 0.0]), atol=1e-13)
-
-
-def test_povm_x_axis_example():
-    e = QubitPovmEffect(a0=0.6, eta=0.3, axis=np.array([1.0, 0.0, 0.0]))
-    parts = decompose_povm(e)
-    weights = [w for w, _ in parts]
-    assert_allclose(weights, [0.3, 0.1, 0.6], atol=1e-14)
-    # direct matrix arithmetic oracle for the reconstruction
-    E = 0.6 * np.eye(2) + 0.3 * SIGMA_X
-    recon = sum(w * meas[0] for w, meas in parts)
-    assert_allclose(recon, E, atol=1e-12)
-
-
-def test_povm_reconstruction_random():
-    rng = np.random.default_rng(8)
-    worst = 0.0
-    for _ in range(1000):
-        a0 = float(rng.uniform(0.0, 1.0))
-        eta = float(rng.uniform(0.0, min(a0, 1.0 - a0)))
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        e = QubitPovmEffect(a0=a0, eta=eta, axis=axis)
-        E = a0 * np.eye(2, dtype=complex) + eta * (
-            axis[0] * SIGMA_X
-            + axis[1] * np.array([[0, -1j], [1j, 0]])
-            + axis[2] * SIGMA_Z)
-        parts = decompose_povm(e)
-        weights = [w for w, _ in parts]
-        assert min(weights) >= -1e-15
-        assert abs(sum(weights) - 1.0) < 1e-12
-        recon = sum(w * meas[0] for w, meas in parts)
-        worst = max(worst, np.abs(recon - E).max())
-        for w, (plus, minus) in parts:
-            assert_allclose(plus + minus, np.eye(2), atol=1e-12)
-    assert worst < 1e-12
-
-
-def test_povm_invalid_effect_rejected():
-    # eta beyond min(a0, 1-a0) makes I - E indefinite
-    with pytest.raises(InvalidEffectError):
-        decompose_povm(QubitPovmEffect(a0=0.2, eta=0.5,
-                                       axis=np.array([0.0, 0.0, 1.0])))
-    with pytest.raises(InvalidEffectError):
-        decompose_povm(QubitPovmEffect(a0=0.5, eta=0.1,
-                                       axis=np.array([0.0, 0.0, 2.0])))

@@ -1,6 +1,8 @@
 """Tests for behaviors, statistics, the LP solver and the constrained
 local bound."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -301,7 +303,10 @@ def test_local_bound_is_exactly_min_of_two_eps_and_one():
     # the window just below 0.5, where a mixture that breaks an eps row
     # by rounding would score 1.0, above the exact 2 eps
     window = [0.5 - k * 1e-13 for k in range(1, 11)] + [0.5 - 1e-10, 0.5 - 2.0 ** -54]
-    for eps in [*np.linspace(0.0, 0.6, 1201), 1e-300, *window]:
+    # and eps so large that (1, eps, eps) products overflow unless the
+    # vacuous rows are solved at eps = 1
+    huge = [9e307, 1e308, sys.float_info.max]
+    for eps in [*np.linspace(0.0, 0.6, 1201), 1e-300, *window, *huge]:
         assert local_max_score(float(eps)) == min(2.0 * eps, 1.0), eps
 
 

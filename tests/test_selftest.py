@@ -1,5 +1,6 @@
-"""Tests for direct-sum assembly and the extraction isometry behind the
-self-testing verification."""
+"""Tests for direct-sum assembly and the self-testing verification:
+the ancilla extraction's index map against the permutation-matrix
+isometries of the reference, fidelities, weights and the JSON report."""
 
 import json
 
@@ -14,13 +15,13 @@ from cabello.selftest import (
     BadWeightsError,
     BasisMismatchError,
     DirectSumState,
-    OddDimensionError,
     assemble_direct_sum,
     block_extended_measurements,
-    extraction_isometry,
     optimal_block_state,
     verify_selftest,
 )
+
+import oracles
 
 OPT = analytic_optimum()
 
@@ -59,6 +60,27 @@ def test_assemble_matrix_weights_and_norm():
             assert abs(np.linalg.norm(blk) ** 2 - mu[i, j]) < 1e-12
 
 
+def test_vector_places_each_weighted_block():
+    # the array form of vector() against one block at a time; empty
+    # cells (weight <= 1e-300, negative within tolerance, or a NaN
+    # placeholder state) stay +0
+    rng = np.random.default_rng(5)
+    for na, nb in ((2, 3), (3, 4), (4, 2)):
+        mu = rng.uniform(0.1, 1.0, size=(na, nb))
+        mu.flat[::3] = (0.0, 1e-320, -1e-13, 0.0)[:len(mu.flat[::3])]
+        mu /= mu.sum()
+        bs = rng.normal(size=(na, nb, 4)) + 1j * rng.normal(size=(na, nb, 4))
+        bs /= np.linalg.norm(bs, axis=2, keepdims=True)
+        bs[mu <= 1e-300] = np.nan
+        want = np.zeros((2 * na, 2 * nb), dtype=complex)
+        for i, j in np.ndindex(na, nb):
+            if mu[i, j] > 1e-300:
+                want[2 * i:2 * i + 2, 2 * j:2 * j + 2] = (
+                    np.sqrt(mu[i, j]) * bs[i, j].reshape(2, 2))
+        got = DirectSumState(mu=mu, block_states=bs).vector()
+        assert got.tobytes() == want.reshape(-1).tobytes(), (na, nb)
+
+
 def test_assemble_rejects_bad_weights():
     with pytest.raises(BadWeightsError):
         assemble_direct_sum([0.5, 0.4])
@@ -69,31 +91,23 @@ def test_assemble_rejects_bad_weights():
 
 
 def test_extraction_isometry_qubit_action():
-    iso = extraction_isometry(2, 2)
+    phi_a, _ = oracles.extraction_isometry(2, 2)
     # basis order (system, ancilla): |0,0>, |0,1>, |1,0>, |1,1>
     e = np.eye(4)
-    assert_allclose(iso.phi_a @ e[0], e[0], atol=1e-14)   # |0,0> -> |0,0>
-    assert_allclose(iso.phi_a @ e[2], e[1], atol=1e-14)   # |1,0> -> |0,1>
+    assert_allclose(phi_a @ e[0], e[0], atol=1e-14)   # |0,0> -> |0,0>
+    assert_allclose(phi_a @ e[2], e[1], atol=1e-14)   # |1,0> -> |0,1>
 
 
 def test_extraction_isometry_is_isometric():
     for d in (2, 4, 6):
-        iso = extraction_isometry(d, d)
-        for m in (iso.phi_a, iso.phi_b):
+        for m in oracles.extraction_isometry(d, d):
             assert m.shape == (2 * d, 2 * d)
             assert np.abs(m.conj().T @ m - np.eye(2 * d)).max() < 1e-12
 
 
-def test_extraction_isometry_rejects_odd_dims():
-    with pytest.raises(OddDimensionError):
-        extraction_isometry(3, 2)
-    with pytest.raises(OddDimensionError):
-        extraction_isometry(2, 5)
-
-
 def test_index_map_equals_the_isometry_matrices():
     # the ancilla pair of verify_selftest against pushing the state and
-    # |00> through the permutation matrices of extraction_isometry; random
+    # |00> through the permutation matrices of the reference; random
     # block states and weights on every block pair, nonzero phases
     rng = np.random.default_rng(17)
     for na, nb in ((1, 1), (1, 3), (2, 2), (3, 2), (4, 1), (3, 5)):
@@ -104,10 +118,10 @@ def test_index_map_equals_the_isometry_matrices():
         phi, xi = rng.uniform(0.1, 2 * np.pi, size=2)
         state = DirectSumState(mu=mu, block_states=bs, phi=phi, xi=xi)
         da, db = state.dims
-        iso = extraction_isometry(da, db)
+        phi_a, phi_b = oracles.extraction_isometry(da, db)
         full = np.zeros((da, 2, db, 2), dtype=complex)
         full[:, 0, :, 0] = state.vector().reshape(da, db)
-        out = iso.phi_a @ full.reshape(2 * da, 2 * db) @ iso.phi_b.T
+        out = phi_a @ full.reshape(2 * da, 2 * db) @ phi_b.T
         anc = out.reshape(da, 2, db, 2).transpose(1, 3, 0, 2).reshape(4, da * db)
         want = anc @ anc.conj().T
         assert np.abs(selftest._ancilla_pair(state) - want).max() <= 1e-15, (na, nb)
