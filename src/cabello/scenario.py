@@ -84,6 +84,26 @@ class DeterministicStrategy:
     b1: int
 
 
+def _frobenius(M: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix over the last two axes of a contiguous complex M."""
+    v = M.view(float).reshape(*M.shape[:-2], -1)
+    return np.sqrt(np.einsum("...q,...q->...", v, v))
+
+
+def _projector_errors(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frobenius distances of a (sample, setting, outcome, dim, dim) stack
+    from hermiticity, from idempotence, and of each setting's pair sum
+    from the identity. P @ P is a sum of dim broadcast products, with no
+    per-matrix BLAS call; entries that are not finite give NaN or inf
+    errors, with no warning."""
+    dim = P.shape[-1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        PP = sum(P[..., :, j, None] * P[..., None, j, :] for j in range(dim))
+        return (_frobenius(P - np.conj(P).swapaxes(-1, -2)),
+                _frobenius(PP - P),
+                _frobenius(P[:, :, 0] + P[:, :, 1] - np.eye(dim)))
+
+
 def _stack_measurements(proj, n: int, dim: int, who: str, batched: bool) -> np.ndarray:
     """Projectors as one (sample, setting, outcome, dim, dim) array, checked.
 
@@ -99,14 +119,9 @@ def _stack_measurements(proj, n: int, dim: int, who: str, batched: bool) -> np.n
     if P.shape != (n, 2, 2, dim, dim):
         raise InvalidMeasurementError(
             f"{who}: projector stack shape {P.shape} != {(n, 2, 2, dim, dim)}")
-    errs = (
-        (np.linalg.norm(P - np.conj(P).swapaxes(-1, -2), axis=(-2, -1)),
-         "projector not Hermitian"),
-        (np.linalg.norm(P @ P - P, axis=(-2, -1)), "projector not idempotent"),
-        (np.linalg.norm(P.sum(axis=2) - np.eye(dim), axis=(-2, -1)),
-         "projectors do not sum to identity"),
-    )
-    for err, what in errs:
+    whats = ("projector not Hermitian", "projector not idempotent",
+             "projectors do not sum to identity")
+    for err, what in zip(_projector_errors(P), whats):
         bad = ~(err <= _QUANTUM_TOL)  # NaN counts as a failure
         if bad.any():
             k, x = np.argwhere(bad)[0][:2]
@@ -128,9 +143,11 @@ def behavior_from_quantum(
 
     ``projA[x]`` and ``projB[y]`` are the two projectors (order +, -) of
     the binary measurement for setting x resp. y. Dimensions are read
-    off the projectors; the state must live on the tensor product. The
-    sixteen probabilities come from one contraction of the state, read
-    as a dA x dB matrix, with the stacked projectors.
+    off the projectors; the state must live on the tensor product. Read
+    as a dA x dB matrix psi, the state gives p(a,b|x,y) as the trace
+    tr(X Y) of X = psi^H Pi_{a|x} and Y = psi Pi_{b|y}^T, each formed
+    as a sum of broadcast products over one local index; the sixteen
+    traces are one contraction of the flattened (dB, dA) blocks.
 
     Batch axis: a state of shape (n, dA*dB) with projector stacks of
     shape (n, 2, 2, dA, dA) and (n, 2, 2, dB, dB) gives n behaviors in
@@ -157,8 +174,12 @@ def behavior_from_quantum(
     PA = _stack_measurements(projA, n, dA, "Alice", batched)
     PB = _stack_measurements(projB, n, dB, "Bob", batched)
     psi = state.reshape(n, dA, dB)
-    p = np.clip(np.einsum("nij,nxaik,nybjl,nkl->nxyab", np.conj(psi), PA, PB, psi).real,
-                0.0, 1.0)
+    # X[n, x, a] = psi^H PA[x, a] and Y[n, y, b]^T = PB[y, b] psi^T, both (dB, dA)
+    X = sum(np.conj(psi)[:, None, None, i, :, None] * PA[:, :, :, i, None, :]
+            for i in range(dA))
+    Yt = sum(PB[:, :, :, :, l, None] * psi[:, None, None, None, :, l] for l in range(dB))
+    p = np.einsum("nsq,ntq->nst", X.reshape(n, 4, -1), Yt.reshape(n, 4, -1)).real
+    p = np.clip(p.reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4), 0.0, 1.0)
     return Behavior(p=p if batched else p[0])
 
 

@@ -65,8 +65,8 @@ class DirectSumState:
             raise BasisMismatchError(
                 f"block states shaped {bs.shape}, expected {mu.shape + (4,)}"
             )
-        norms = np.linalg.norm(bs, axis=2)
-        if not np.all(np.abs(norms[mu > 1e-12] - 1.0) <= 1e-9):
+        norms = np.linalg.norm(bs[mu > 1e-12], axis=-1)  # empty cells are never read
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise BasisMismatchError("occupied block states must be normalized")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "block_states", bs)
@@ -80,9 +80,11 @@ class DirectSumState:
         """Assembled global state on dims (2 nA) x (2 nB), flattened."""
         na, nb = self.mu.shape
         mu = self.mu[..., None]
-        # masked after the product, so that an empty cell is +0 whatever
-        # its placeholder state holds
-        blocks = np.where(mu > 1e-300, np.sqrt(np.maximum(mu, 0.0)) * self.block_states, 0)
+        # the product runs on occupied cells only, so an empty cell is +0
+        # whatever its placeholder state holds, with no warning
+        blocks = np.multiply(np.sqrt(np.maximum(mu, 0.0)), self.block_states,
+                             out=np.zeros(self.block_states.shape, dtype=complex),
+                             where=mu > 1e-300)
         return blocks.reshape(na, nb, 2, 2).transpose(0, 2, 1, 3).reshape(-1)
 
 

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from cabello import scenario
 from cabello.qubit import (
     ConstrainedStateParams,
     MeasurementParams,
@@ -137,12 +138,13 @@ def _random_pair(rng, d):
     return half, np.eye(d) - half
 
 
-def _random_draw(rng, d):
-    """A random normalized state on C^d (x) C^d and two random binary
-    measurements per party."""
+def _random_draw(rng, d, dB=None):
+    """A random normalized state on C^d (x) C^dB (dB = d by default) and
+    two random binary measurements per party."""
+    dB = d if dB is None else dB
     projA = [_random_pair(rng, d) for _ in range(2)]
-    projB = [_random_pair(rng, d) for _ in range(2)]
-    state = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+    projB = [_random_pair(rng, dB) for _ in range(2)]
+    state = rng.normal(size=d * dB) + 1j * rng.normal(size=d * dB)
     state /= np.linalg.norm(state)
     return state, projA, projB
 
@@ -153,9 +155,11 @@ def _stack(draws):
 
 
 def test_behavior_matches_kron_reference():
+    # unequal local dimensions catch a transposed (dB, dA) block that
+    # dA = dB would not
     rng = np.random.default_rng(8)
-    for d in (2, 4):
-        draws = [_random_draw(rng, d) for _ in range(20)]
+    for dA, dB in ((2, 2), (4, 4), (2, 3), (3, 2), (4, 2)):
+        draws = [_random_draw(rng, dA, dB) for _ in range(20)]
         for state, projA, projB in draws:
             got = behavior_from_quantum(state, projA, projB).p
             assert np.abs(got - _kron_reference(state, projA, projB)).max() <= 1e-14
@@ -165,6 +169,50 @@ def test_behavior_matches_kron_reference():
         for k, (state, projA, projB) in enumerate(draws):
             assert np.abs(batch.p[k] - _kron_reference(state, projA, projB)).max() <= 1e-14
             assert stats.score[k] == cabello_stats(Behavior(p=batch.p[k])).score
+
+
+def test_projector_errors_equal_the_linalg_norms():
+    # the broadcast products and float-view norms measure exactly what
+    # np.linalg.norm of P - P^H, P @ P - P and the pair sum minus I do
+    rng = np.random.default_rng(11)
+    for case in range(200):
+        d, n = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        P = np.array([[_random_pair(rng, d) for _ in range(2)] for _ in range(n)],
+                     dtype=complex)
+        if case % 2:
+            scale = 10.0 ** rng.uniform(-12, 0)
+            P += scale * (rng.normal(size=P.shape) + 1j * rng.normal(size=P.shape))
+        want = (np.linalg.norm(P - np.conj(P).swapaxes(-1, -2), axis=(-2, -1)),
+                np.linalg.norm(P @ P - P, axis=(-2, -1)),
+                np.linalg.norm(P.sum(axis=2) - np.eye(d), axis=(-2, -1)))
+        for got, ref in zip(scenario._projector_errors(P), want):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-14, (case, d)
+
+
+def _oblique_pair():
+    """Idempotent and complete, but not Hermitian."""
+    P = np.array([[1.0, 0.5], [0.0, 0.0]], dtype=complex)
+    return P, np.eye(2) - P
+
+
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("party, x, pair, what", [
+    ("Alice", 1, _oblique_pair(), "projector not Hermitian"),
+    ("Bob", 0, (COMP[0], COMP[0]), "projectors do not sum to identity"),
+    ("Bob", 1, (np.array([[1.0, np.inf], [0.0, 0.0]]), COMP[1]),
+     "projector not Hermitian"),
+])
+def test_batch_check_fails_in_order_at_the_first_sample(k, party, x, pair, what):
+    # each check fails on its own; inf entries fail without a warning
+    rng = np.random.default_rng(12)
+    states, stackA, stackB = _stack([_random_draw(rng, 2) for _ in range(5)])
+    stack = stackA if party == "Alice" else stackB
+    for bad in (k, 4):
+        stack[bad, x] = pair
+    with pytest.raises(InvalidMeasurementError,
+                       match=f"^sample {k}: {party} setting {x}: {what}$"):
+        behavior_from_quantum(states, stackA, stackB)
 
 
 @pytest.mark.parametrize("k", [0, 3])

@@ -3,6 +3,7 @@ the ancilla extraction's index map against the permutation-matrix
 isometries of the reference, fidelities, weights and the JSON report."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,19 @@ def test_vector_places_each_weighted_block():
                     np.sqrt(mu[i, j]) * bs[i, j].reshape(2, 2))
         got = DirectSumState(mu=mu, block_states=bs).vector()
         assert got.tobytes() == want.reshape(-1).tobytes(), (na, nb)
+
+
+def test_inf_placeholder_in_an_empty_cell_builds_without_warning():
+    # only occupied cells are normed, so an inf placeholder in a
+    # zero-weight cell raises no RuntimeWarning and is never read
+    good = optimal_block_state()
+    bs = np.stack([good, np.full(4, np.inf, dtype=complex)]).reshape(2, 1, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = DirectSumState(mu=[[1.0], [0.0]], block_states=bs).vector()
+    bs[1, 0] = 0.0
+    want = DirectSumState(mu=[[1.0], [0.0]], block_states=bs).vector()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_assemble_rejects_bad_weights():
