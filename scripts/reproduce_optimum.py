@@ -37,7 +37,7 @@ def main() -> int:
     dt = time.perf_counter() - t0
     print(f"ideal search score     {res.score:.15f}"
           f"   (err {res.score - opt.score:+.2e}, {dt:.2f} s,"
-          f" {res.starts_used} starts)")
+          f" {res.starts_used} grid points)")
 
     m = MeasurementParams(alpha=opt.alpha, beta=opt.beta, phi=0.0, xi=0.0)
     state = constrained_state(

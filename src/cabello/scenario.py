@@ -166,7 +166,8 @@ def behavior_from_quantum(
     dA, dB = np.shape(projA[0][0])[-2], np.shape(projB[0][0])[-2]
     if state.shape[1] != dA * dB:
         raise InvalidStateError(f"state has dimension {state.shape[1]}, expected {dA * dB}")
-    norms = np.linalg.norm(state, axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf or huge entries fail below
+        norms = np.linalg.norm(state, axis=1)
     bad = ~(np.abs(norms - 1.0) <= _QUANTUM_TOL)  # NaN counts as a failure
     if bad.any():
         k = int(np.argmax(bad))

@@ -84,7 +84,13 @@ TSIRELSON = 2 * np.sqrt(2.0)
 # its search went from four coordinates to the two angles, with c and
 # delta in closed form: delta is now pi exactly and the score 1e-16
 # below OPT_SCORE, where the four-coordinate search stopped at delta =
-# 3.1415925691263555 and 9e-16 below. The eps > 0 npa lines and the
+# 3.1415925691263555 and 9e-16 below. Both lines were frozen again when
+# the BFGS searches gave way to one grid-and-golden search over the
+# half-angle of equal angles (12 grid points, so "starts_used": 12): the
+# same optima, where a search resolves alpha only to about 1e-8 because
+# the score is flat to rounding there, so alpha and c moved by up to
+# 5.4e-8; the ideal score kept its bytes and Hardy moved to 4.2e-17
+# above HARDY_MAX. The eps > 0 npa lines and the
 # sweep's upper column were frozen again when the relaxation went over
 # to party-swap orbits of the moment classes, with class-index kernels
 # in the solver: the same maximum, reached by other rounding, moved
@@ -94,14 +100,14 @@ TSIRELSON = 2 * np.sqrt(2.0)
 # and says so.
 CLI_STDOUT = {
     ("optimize", "--mode", "ideal"):
-        '{"score": 0.1078127177489363, "params": {"alpha": 1.613568731757131, '
-        '"beta": 1.613568731757131, "c": 0.5539063767431359, '
+        '{"score": 0.1078127177489363, "params": {"alpha": 1.6135687860223569, '
+        '"beta": 1.6135687860223569, "c": 0.553906357101086, '
         '"delta": 3.141592653589793, "phi": 0.0, "xi": 0.0}, "e10": 0.0, '
-        '"e01": 0.0, "starts_used": 2, "converged": true}\n',
+        '"e01": 0.0, "starts_used": 12, "converged": true}\n',
     ("hardy",):
-        '{"score": 0.09016994374947424, "params": {"alpha": 1.8091137962030244, '
-        '"beta": 1.8091137962030244, "c": 0.485868268854368, "delta": 0.0, '
-        '"phi": 0.0, "xi": 0.0}, "e10": 0.0, "e01": 0.0, "starts_used": 2, '
+        '{"score": 0.09016994374947428, "params": {"alpha": 1.809113787134073, '
+        '"beta": 1.809113787134073, "c": 0.48586827231839913, "delta": 0.0, '
+        '"phi": 0.0, "xi": 0.0}, "e10": 0.0, "e01": 0.0, "starts_used": 12, '
         '"converged": true}\n',
     ("sweep", "--eps-min", "0", "--eps-max", "0.15", "--steps", "4"):
         "eps,local_bound,quantum_lower,quantum_upper,level,status\n"

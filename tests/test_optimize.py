@@ -1,8 +1,7 @@
-"""Tests for the BFGS minimizer, the fixed-start searches and the
-epsilon sweep."""
+"""Tests for the grid-and-golden minimizer, the equal-angle searches
+and the epsilon sweep."""
 
 import dataclasses
-import functools
 import json
 import math
 
@@ -38,80 +37,86 @@ import oracles
 
 
 def test_minimize_quadratic_bowl():
-    r = minimize(lambda x: (x[0] ** 2 + x[1] ** 2, [2 * x[0], 2 * x[1]]), [1.0, 1.0])
-    assert r.fun <= 1e-12
-    assert max(abs(v) for v in r.x) < 1e-6
+    # the bracket closes when its trial points meet in floating point, so
+    # a minimum at 0, where floats are dense, would run into the step cap
+    r = minimize(lambda x: (x - 0.5) * (x - 0.5), -1.0, 1.0)
+    assert r.fun <= 1e-15
+    assert abs(r.x - 0.5) < 1e-7
     assert r.converged
 
 
 def test_minimize_shifted_parabola():
-    r = minimize(lambda x: ((x[0] - 3.0) ** 2, [2 * (x[0] - 3.0)]), [0.0])
-    assert abs(r.x[0] - 3.0) < 1e-6
-    assert r.fun <= 1e-12
+    # a minimum off the grid, and one at the box end
+    r = minimize(lambda x: (x - 3.0) ** 2, 0.0, 5.0)
+    assert abs(r.x - 3.0) < 1e-7
+    assert r.fun <= 1e-15
     assert r.converged
+    r = minimize(lambda x: (x - 3.0) ** 2, 0.0, 2.0)
+    assert r.x == 2.0 and r.converged
+
+
+def test_minimize_refines_every_local_minimum_of_the_grid():
+    # cos 3x + x/10 has three local minima on [0, 2 pi], each in its own
+    # grid bracket; every bracket is refined, and the lowest wins
+    f = lambda x: math.cos(3.0 * x) + 0.1 * x
+    r = minimize(f, 0.0, 2 * math.pi)
+    best = min(f(x) for x in np.linspace(0.0, 2 * math.pi, 200001))
+    assert r.fun <= best and abs(r.x - 1.0360843806) < 1e-7
+    assert r.nevals > optimize.GRID_POINTS + 3 * 60
 
 
 def test_minimize_iteration_cap_flag(monkeypatch):
-    # Rosenbrock needs far more than two BFGS iterations from (-1.2, 1)
-    monkeypatch.setattr(optimize, "BFGS_MAX_ITER", 2)
-
-    def rosenbrock(x):
-        a, b = x
-        return (100 * (b - a * a) ** 2 + (1 - a) ** 2,
-                [-400 * a * (b - a * a) - 2 * (1 - a), 200 * (b - a * a)])
-
-    r = minimize(rosenbrock, [-1.2, 1.0])
+    # a golden-section bracket needs about 70 steps to close in floating
+    # point; two steps per bracket do not
+    monkeypatch.setattr(optimize, "GOLDEN_MAX_ITER", 2)
+    r = minimize(lambda x: (x - 0.3) ** 2, 0.0, 1.0)
     assert not r.converged
     assert r.nit == 2
-    assert r.nevals > 0
+    assert r.nevals == optimize.GRID_POINTS + 2 + 2
 
 
 def test_minimize_bitwise_deterministic():
     def f(x):
-        a, b = x
-        return ((a - 1.2) ** 2 + (b + 0.7) ** 4 + math.cos(a * b),
-                [2 * (a - 1.2) - b * math.sin(a * b),
-                 4 * (b + 0.7) ** 3 - a * math.sin(a * b)])
+        return (x - 1.2) ** 2 + math.cos(3.0 * x)
 
-    a = minimize(f, [0.1, 0.9])
-    b = minimize(f, [0.1, 0.9])
-    assert a.x == b.x
-    assert a.fun == b.fun
-    assert a.nevals == b.nevals
+    a = minimize(f, -2.0, 3.0)
+    b = minimize(f, -2.0, 3.0)
+    assert a == b
+
+
+def _recording(monkeypatch):
+    """Calls of ``optimize.minimize`` from here on, each with its result."""
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(minimize(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(optimize, "minimize", recording)
+    return runs
 
 
 def test_every_slice_descent_converges(monkeypatch):
-    # every descent of the slice search ends by the stopping test, none by
-    # running out of descent or by the iteration cap
-    runs = []
-
-    def recording(*args, **kwargs):
-        runs.append(minimize(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(optimize, "minimize", recording)
+    # one grid-and-golden search per eps, every bracket closed by the
+    # stopping test and none by the step cap
+    optimize._ideal_candidate()  # formed once per process, before recording
+    runs = _recording(monkeypatch)
     for eps in (1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.1, 0.15, 0.3, 0.45, 0.5):
         runs.clear()
         r = optimize_nonideal(eps)
-        assert len(runs) == r.starts_used == 6
-        assert all(run.converged for run in runs), eps
+        assert len(runs) == 1 and r.starts_used == optimize.GRID_POINTS
+        assert runs[0].converged and r.converged, eps
+        assert runs[0].nevals <= 90, eps
 
 
 def test_every_ideal_and_hardy_descent_converges(monkeypatch):
-    # every descent from the fixed starts ends by the stopping test, none
-    # by running out of descent or by the iteration cap
-    runs = []
-
-    def recording(*args, **kwargs):
-        runs.append(minimize(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(optimize, "minimize", recording)
+    # one search each, every bracket closed by the stopping test
+    runs = _recording(monkeypatch)
     for search in (optimize_ideal, optimize_hardy):
         runs.clear()
         r = search()
-        assert len(runs) == r.starts_used == len(optimize._STARTS)
-        assert all(run.converged for run in runs), search.__name__
+        assert len(runs) == 1 and r.starts_used == optimize.GRID_POINTS
+        assert runs[0].converged and r.converged, search.__name__
 
 
 @pytest.mark.parametrize("eps", sorted(oracles.NONIDEAL_SCORES))
@@ -160,52 +165,82 @@ def test_ideal_reaches_analytic_optimum(ideal):
     assert abs(ideal.params["alpha"] - ideal.params["beta"]) < 1e-6
     assert abs(ideal.params["alpha"] - opt.alpha) < 1e-6
     assert abs(ideal.params["c"] - opt.c) < 1e-6
-    assert ideal.starts_used == 2
+    assert ideal.starts_used == optimize.GRID_POINTS
     assert ideal.converged
 
 
 def test_ideal_search_ends_at_delta_pi_from_few_evaluations(monkeypatch):
-    # c and delta are in closed form, so the descents run over the two
-    # angles only; alpha = beta holds bitwise from the equal-angle starts
-    runs = []
-
-    def recording(*args, **kwargs):
-        runs.append(minimize(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(optimize, "minimize", recording)
+    # c and delta are in closed form, so one search runs over the
+    # half-angle h only, and alpha = beta = 2h
+    runs = _recording(monkeypatch)
     r = optimize_ideal()
     assert r.params["delta"] == np.pi
     assert r.params["alpha"] == r.params["beta"]
     assert abs(r.score - oracles.OPT_SCORE) <= 4.5e-16
     assert r.converged
-    assert len(runs) <= 2
-    assert sum(run.nevals for run in runs) <= 40
+    assert len(runs) == 1
+    assert runs[0].nevals <= 90
+
+
+def _envelope(a, b):
+    """The family score maximized over c and delta: the top eigenvalue
+    of [[P, S], [S, Q]] (see optimize._ideal_point)."""
+    P, Q, S = optimize._family_terms(a, b)
+    return (P + Q) / 2 + math.hypot((P - Q) / 2, S)
 
 
 def test_ideal_value_is_the_envelope_over_c_and_delta():
-    # for fixed angles, minus _ideal_neg is the family score maximized
+    # for fixed angles, the top eigenvalue is the family score maximized
     # over c up to the normalizability ceiling and over delta, and the
-    # reported (c, pi) attains it. The angles keep 0.1 off the box edge:
-    # as beta -> pi the best c nears the ceiling, where the closed form
-    # takes the root of a radicand near 1e-14 and rounds by up to 5e-13
+    # (c, pi) that _ideal_point reports attains it. The angles keep 0.1
+    # off the box edge: as beta -> pi the best c nears the ceiling, where
+    # the closed form takes the root of a radicand near 1e-14 and rounds
+    # by up to 5e-13
     rng = np.random.default_rng(8)
     cs = np.linspace(0.0, 1.0, 41)
     deltas = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-    for angles in rng.uniform(0.1, np.pi - 0.1, size=(200, 2)):
-        u = list(np.arccos((np.pi / 2 - angles) / optimize._HALF_SPAN))
-        env = -optimize._ideal_neg(u)[0]
-        a, b = optimize._angle(u[0]), optimize._angle(u[1])
+    for a, b in rng.uniform(0.1, np.pi - 0.1, size=(200, 2)):
+        env = _envelope(a, b)
         c, d = np.meshgrid(cs / np.sqrt(1 + np.tan(a / 2) ** 2 + np.tan(b / 2) ** 2),
                            deltas)
         grid = closed_form_score(ConstrainedStateParams(
             c=c, delta=d, meas=MeasurementParams(alpha=np.full_like(c, a),
                                                  beta=np.full_like(c, b))))
-        assert env >= grid.max(), angles
+        assert env >= grid.max(), (a, b)
         score, (_, _, c_best) = optimize._ideal_point(a, b)
-        assert abs(score - env) <= 1e-14, angles
+        assert abs(score - env) <= 1e-14, (a, b)
         assert score == closed_form_score(ConstrainedStateParams(
             c=c_best, delta=np.pi, meas=MeasurementParams(alpha=a, beta=b)))
+
+
+def test_slice_point_at_eps_zero_is_the_envelope():
+    # at equal angles the slice's closed form in theta at eps = 0 is the
+    # same maximum over c and delta, with both constraints at zero
+    for h in np.random.default_rng(3).uniform(0.05, np.pi / 2 - 0.05, size=200):
+        value, amps = optimize._slice_point(0.0, float(h))
+        assert abs(value - _envelope(2 * h, 2 * h)) <= 1e-14, h
+        _, _, e10, e01 = ansatz_stats(2 * h, 2 * h, *amps)
+        assert e10 <= 1e-30 and e01 <= 1e-30
+        assert abs(amps[0] ** 2 + 2 * amps[1] ** 2 + amps[2] ** 2 - 1.0) <= 1e-15
+
+
+def test_slice_point_is_the_maximum_over_its_circle():
+    # the secular equation's point against a dense scan of theta on the
+    # circle of the tight slice
+    rng = np.random.default_rng(17)
+    th = np.linspace(0.0, 2 * np.pi, 20001)
+    for eps, h in zip(rng.uniform(0.0, 0.5, size=50), rng.uniform(0.05, 1.5, size=50)):
+        value, amps = optimize._slice_point(float(eps), float(h))
+        ch, sh = np.cos(h), np.sin(h)
+        n2 = 1 + sh * sh
+        r, R = np.sqrt(eps), np.sqrt(1 - 2 * eps / n2)
+        k = R * np.sin(th) / np.sqrt(n2)
+        s00, s01, s11 = R * np.cos(th), r * ch / n2 + k * sh, 2 * r * sh / n2 - k * ch
+        scan = ((ch * ch * s00 + 2 * ch * sh * s01 + sh * sh * s11) ** 2 - s00 ** 2).max()
+        assert scan <= value + 1e-13, (eps, h)
+        assert value - scan <= 1e-6, (eps, h)
+        _, _, e10, _ = ansatz_stats(2 * h, 2 * h, *amps)
+        assert abs(e10 - eps) <= 1e-15, (eps, h)
 
 
 def test_ideal_score_consistent_with_simulation(ideal):
@@ -257,18 +292,19 @@ def test_nonideal_meets_upper_bound(nonideal_01):
 
 
 def test_nonideal_eps_zero_embeds_ideal(ideal):
+    # the eps = 0 candidate is rounded so that its closed forms vanish
     r = optimize_nonideal(0.0)
     assert abs(r.score - ideal.score) < 1e-6
-    assert r.e10 <= 1e-9 and r.e01 <= 1e-9
+    assert r.e10 == 0.0 and r.e01 == 0.0
 
 
 @pytest.mark.parametrize("eps", [5e-324, 1e-300, 1e-40, 1e-33, 1e-29, 1.2e-28, 1e-20,
                                  1e-12, 1e-9, 1e-6, 1e-3])
 def test_nonideal_never_below_ideal_as_eps_vanishes(eps):
-    # below about 3e-33 the polish collapses most candidates, and the
-    # ideal score survives only by rounding (see optimize_nonideal); at
-    # 1e-29 and 1.2e-28 the slice descents end 1.2e-5 and 3.5e-4 below
-    # it, and only the analytic eps = 0 candidate keeps the ideal score
+    # below about 1e-32 the polish cannot bring the slice point inside
+    # the constraints, and the ideal score comes from the eps = 0
+    # optimum, rounded so that its closed-form e10 = e01 is 0.0 exactly
+    # (optimize._ideal_candidate): feasible at every eps by construction
     r = optimize_nonideal(eps)
     assert r.score >= oracles.OPT_SCORE - 1e-12
     assert r.e10 <= eps and r.e01 <= eps
@@ -291,54 +327,45 @@ def test_nonideal_gains_over_ideal_as_eps_vanishes():
         assert abs(stats.score - r.score) < 1e-12
 
 
-def _central_jac(f, x, h=1e-6):
-    """Central differences of f, scalar or vector valued, at the list x;
-    one column per coordinate."""
-    cols = []
-    for i in range(len(x)):
-        up, down = list(x), list(x)
-        up[i] += h
-        down[i] -= h
-        cols.append((np.asarray(f(up)) - np.asarray(f(down))) / (2 * h))
-    return np.array(cols).T
-
-
-def test_analytic_gradients_match_central_differences():
-    # the value-and-gradient callables in their chart coordinates, which
-    # take every real (the slice chart is (u_a, theta) stretched tenfold);
-    # the slice chart on both planes m = +-sqrt(eps) for eps in (0, 0.5]
-    rng = np.random.default_rng(21)
-    eps_draws = np.concatenate([[0.5, 1e-12], rng.uniform(0.0, 0.5, size=48)])
-    for eps in eps_draws:
-        x = list(rng.uniform(-20 * np.pi, 20 * np.pi, size=4))
-        fused = [("ideal", optimize._ideal_neg, 2), ("hardy", optimize._hardy_neg, 2)]
-        fused += [(f"slice {sigma} eps={eps!r}",
-                   functools.partial(optimize._slice_neg, float(eps), sigma), 2)
-                  for sigma in (1.0, -1.0)]
-        for name, fun, n in fused:
-            err = np.abs(_central_jac(lambda y: fun(y)[0], x[:n]) - fun(x[:n])[1]).max()
-            assert err <= 1e-7, (name, x[:n], err)
-
-
 @pytest.mark.parametrize("sigma", [1.0, -1.0])
 def test_slice_gradient_finite_where_the_radius_vanishes(sigma):
-    # at eps = 1/2 the circle shrinks toward a point as alpha -> 0, which
-    # u_a = 0 reaches up to _EDGE; the radius and its partial stay finite
-    for theta in np.linspace(-np.pi, np.pi, 9):
-        value, grad = optimize._slice_neg(0.5, sigma, [0.0, float(theta)])
-        assert np.isfinite(value) and np.all(np.isfinite(grad)), theta
+    # at eps = 1/2 the circle shrinks toward a point as h -> 0, which the
+    # search reaches up to _EDGE / 2; the value, the amplitudes and the
+    # difference quotient in h stay finite there. The plane
+    # m = -sqrt(eps) is the mirror image amps -> -amps of m = +sqrt(eps)
+    # and gives the same p - q
+    for h in (optimize._H_BOX[0], 1e-8, 1e-6, 1e-3, 0.1):
+        value, amps = optimize._slice_point(0.5, h)
+        assert np.isfinite(value) and np.all(np.isfinite(amps)), h
+        step = h * 1e-3
+        slope = (optimize._slice_point(0.5, h + step)[0] - value) / step
+        assert np.isfinite(slope), h
+        s00, s01, s11 = (sigma * s for s in amps)
+        q, p, _, _ = ansatz_stats(2 * h, 2 * h, s00, s01, s11)
+        assert abs((p - q) - value) <= 1e-15, h
+        m = math.cos(h) * s01 + math.sin(h) * s11
+        assert abs(m - sigma * math.sqrt(0.5)) <= 1e-12, h
 
 
-def test_charts_keep_the_box():
-    # every real u, multiples of pi included, maps into [_EDGE, pi - _EDGE],
-    # so MeasurementParams accepts every candidate of every search
-    rng = np.random.default_rng(5)
-    us = ([k * np.pi for k in range(-8, 9)] + [1e-300, -1e-300, 1e6, -1e300, 1e300]
-          + list(rng.uniform(-50.0, 50.0, 500)))
-    for u in us:
-        a = optimize._angle(float(u))
-        assert optimize._EDGE <= a <= np.pi - optimize._EDGE, u
-        MeasurementParams(alpha=a, beta=a)
+def test_every_reported_angle_lies_in_the_open_box():
+    # the half-angle box keeps alpha = 2h off 0 and pi, so MeasurementParams
+    # accepts every point of every search, the box ends included
+    for h in optimize._H_BOX:
+        assert 0.0 < 2 * h < np.pi
+        MeasurementParams(alpha=2 * h, beta=2 * h)
+    results = [optimize_nonideal(eps) for eps in (0.0, 1e-30, 1e-6, 0.1, 0.45, 0.5)]
+    for r in results + [optimize_ideal(), optimize_hardy()]:
+        assert 0.0 < r.params["alpha"] == r.params["beta"] < np.pi
+
+
+def test_nonideal_lower_column_does_not_dip_in_eps():
+    # the lower column must not fall as eps grows; on log-spaced eps down
+    # to 1e-40, where the slice polish and the exact-zero eps = 0
+    # candidate hand over, it may fall only by rounding
+    grid = np.logspace(-40, -1, 400)
+    scores = [optimize_nonideal(float(e)).score for e in grid]
+    drops = [(a - b, e) for a, b, e in zip(scores, scores[1:], grid[1:])]
+    assert max(drops)[0] <= 1e-15, max(drops)
 
 
 def test_nonideal_monotone_in_eps():
@@ -453,31 +480,27 @@ def test_hardy_constraints_hold_exactly():
     assert abs(stats.p - r.score) < 1e-9
 
 
-def test_hardy_state_has_exactly_zero_00_amplitude(monkeypatch):
+def test_hardy_state_has_exactly_zero_00_amplitude():
     # c is rounded up to the normalizability ceiling, so the |00> amplitude
-    # is 0 and the Born rule reproduces the reported score, from whichever
-    # start the descent ends
+    # is 0 and the Born rule reproduces the reported p, at whatever
+    # angles the search ends
     rng = np.random.default_rng(30)
-    for x0 in rng.uniform(0.0, np.pi, size=(30, 2)):
-        monkeypatch.setattr(optimize, "_STARTS", (tuple(x0),))
-        r = optimize_hardy()
-        stats = _stats_from_constrained(r.params)
+    for a, b in rng.uniform(0.01, np.pi - 0.01, size=(30, 2)):
+        p, (a, b, c) = optimize._hardy_point(a, b)
+        stats = _stats_from_constrained({"alpha": a, "beta": b, "c": c,
+                                         "delta": 0.0, "phi": 0.0, "xi": 0.0})
         assert stats.q <= 1e-12
-        assert abs(stats.p - r.score) <= 1e-12
+        assert abs(stats.p - p) <= 1e-12
 
 
-def test_hardy_zero_00_amplitude_holds_at_every_end_point(monkeypatch):
+def test_hardy_zero_00_amplitude_holds_at_every_end_point():
     # c is rounded up by the radicand that constrained_state forms, so
-    # the |00> amplitude is exactly 0 wherever a descent ends
-    ends = np.random.default_rng(30).uniform(0.0, np.pi, size=(2000, 2))
-    for x in ends:
-        monkeypatch.setattr(optimize, "minimize", lambda fun, x0, x=tuple(x): (
-            optimize.MinimizeResult(x, fun(x)[0], 1, True, 0)))
-        prm = optimize_hardy().params
+    # the |00> amplitude is exactly 0 at any angles
+    for a, b in np.random.default_rng(30).uniform(0.0, np.pi, size=(2000, 2)):
+        _, (a, b, c) = optimize._hardy_point(a, b)
         state = constrained_state(ConstrainedStateParams(
-            c=prm["c"], delta=prm["delta"],
-            meas=MeasurementParams(alpha=prm["alpha"], beta=prm["beta"])))
-        assert state[0] == 0, x
+            c=c, delta=0.0, meas=MeasurementParams(alpha=a, beta=b)))
+        assert state[0] == 0, (a, b)
 
 
 def test_hardy_strictly_below_cabello_optimum():

@@ -230,6 +230,21 @@ def test_batch_error_names_first_failing_sample(k):
         behavior_from_quantum(states, stackA, stackB)
 
 
+@pytest.mark.parametrize("entry", [np.inf, 1e200, np.nan])
+def test_rejects_non_finite_or_huge_state_without_a_warning(entry):
+    # the norm check runs under errstate, so the run's warnings-as-errors
+    # do not turn an inf, overflowing or NaN state into a RuntimeWarning
+    state = np.array([entry, 0.0, 0.0, 0.0], dtype=complex)
+    with pytest.raises(InvalidStateError, match="^state norm"):
+        behavior_from_quantum(state, (COMP, COMP), (COMP, COMP))
+    rng = np.random.default_rng(13)
+    states, stackA, stackB = _stack([_random_draw(rng, 2) for _ in range(3)])
+    states[1] = 0.0
+    states[1, 0] = entry
+    with pytest.raises(InvalidStateError, match="^sample 1: state norm"):
+        behavior_from_quantum(states, stackA, stackB)
+
+
 def test_rejects_nan_state_projector_and_behavior():
     state = np.zeros(4, dtype=complex)
     state[0] = 1.0
