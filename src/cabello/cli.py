@@ -15,6 +15,7 @@ import csv
 import functools
 import io
 import json
+import random
 import sys
 from dataclasses import dataclass
 
@@ -62,7 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-formula",
                        help="closed-form score vs Born-rule simulation over random draws")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed (>= 0) of the draws, from the standard library's "
+                        "Mersenne Twister random.Random (default 0)")
     add_out(p)
 
     p = sub.add_parser("optimize", help="multistart score maximization")
@@ -116,19 +119,30 @@ def parse(argv) -> Command:
 
 
 def _uniform(u, low, high):
-    """Map draws u in [0, 1) as ``Generator.uniform(low, high)`` does."""
+    """Map draws u in [0, 1) as ``random.uniform(low, high)`` does."""
     return low + (high - low) * u
+
+
+def _random(rng: random.Random, n: int):
+    """n × 6 draws equal, bit for bit and in stream order, to 6n calls of
+    ``rng.random()``: each takes two 32-bit words, keeps their top 27 and
+    26 bits and scales the 53-bit integer by 2**-53, as CPython does."""
+    w = np.frombuffer(rng.randbytes(48 * n), "<u4").reshape(n, 6, 2)
+    return ((w[..., 0] >> 5) * 67108864.0 + (w[..., 1] >> 6)) / 9007199254740992.0
 
 
 def _run_verify_formula(o, out) -> int:
     if o["samples"] < 1:
         raise ValueError(f"--samples must be >= 1, got {o['samples']}")
-    rng = np.random.default_rng(o["seed"])
+    if o["seed"] < 0:
+        # random.Random seeds from |seed|: -7 and 7 would share one stream
+        raise ValueError(f"--seed must be >= 0, got {o['seed']}")
+    rng = random.Random(o["seed"])
     worst_dev = 0.0
     worst_leak = 0.0
     for start in range(0, o["samples"], _VERIFY_CHUNK):
         # per sample, in stream order: alpha, beta, c, delta, phi, xi
-        u = rng.random((min(_VERIFY_CHUNK, o["samples"] - start), 6))
+        u = _random(rng, min(_VERIFY_CHUNK, o["samples"] - start))
         a, b = _uniform(u[:, :2], 0.05, np.pi - 0.05).T
         cmax = 1.0 / np.sqrt(qubit.norm_factor(a, b))
         c = _uniform(u[:, 2], 0.0, 0.999) * cmax

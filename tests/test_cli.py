@@ -3,6 +3,7 @@ codes, determinism, and the sweep CSV artifact."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -112,13 +113,15 @@ def test_optimize_nonideal_verb(capsys):
 
 def _verify_formula_loop(samples, seed):
     """verify-formula one sample at a time: its draws and worst values."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     draws, worst_dev, worst_leak = [], 0.0, 0.0
     for _ in range(samples):
-        a, b = rng.uniform(0.05, np.pi - 0.05, size=2)
-        cmax = 1.0 / np.sqrt(1 + np.tan(a / 2) ** 2 + np.tan(b / 2) ** 2)
+        a, b = (rng.uniform(0.05, np.pi - 0.05) for _ in range(2))
+        # np.square, as the verb: ** 2 on a numpy scalar is pow(), which can
+        # round differently from the product
+        cmax = 1.0 / np.sqrt(1 + np.square(np.tan(a / 2)) + np.square(np.tan(b / 2)))
         c = rng.uniform(0.0, 0.999) * cmax
-        d, ph, xi = rng.uniform(0.0, 2 * np.pi, size=3)
+        d, ph, xi = (rng.uniform(0.0, 2 * np.pi) for _ in range(3))
         m = qubit.MeasurementParams(alpha=a, beta=b, phi=ph, xi=xi)
         p = qubit.ConstrainedStateParams(c=c, delta=d, meas=m)
         a0, a1, b0, b1 = qubit.projectors(m)
@@ -183,6 +186,18 @@ def test_verify_formula_rejects_nonpositive_samples(samples, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("verify-formula: --samples must be >= 1")
+
+
+def test_verify_formula_seed_must_be_nonnegative(capsys):
+    # random.Random seeds from |seed|, so -1 would silently replay seed 1
+    code, out, err = run_cli(["verify-formula", "--seed", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("verify-formula: --seed must be >= 0")
+    code, out, err = run_cli(["verify-formula", "--samples", "10",
+                              "--seed", "99999999999999999999999"], capsys)
+    assert code == 0
+    assert json.loads(out)["samples"] == 10
 
 
 def test_parser_built_once_per_process(monkeypatch, capsys):
@@ -329,11 +344,14 @@ loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded[:5]
 # nor numpy.ma, which np.unique imports on its first call
 assert "numpy.ma" not in sys.modules
+# nor numpy.random: verify-formula draws from the standard library
+assert "numpy.random" not in sys.modules
 """
 
 _FROZEN_BYTES_WITHOUT_SCIPY = """
 import contextlib, io, sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+sys.modules["numpy.random"] = None  # and so does any import of numpy.random
 import cabello.cli
 import oracles
 for argv, want in oracles.CLI_STDOUT.items():

@@ -1,13 +1,10 @@
-"""Smoke tests for the scripts and the library example the README points
-users at."""
+"""Smoke test for the library example the README points users at."""
 
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
-
-import oracles
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -17,14 +14,6 @@ def _run_with_src(*args):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-W", "error", *args],
                           capture_output=True, text=True, env=env, timeout=300)
-
-
-def test_reproduce_optimum_runs_without_warnings():
-    proc = _run_with_src(str(ROOT / "scripts" / "reproduce_optimum.py"))
-    assert proc.returncode == 0, proc.stderr
-    hardy = [line for line in proc.stdout.splitlines() if line.startswith("hardy maximum")]
-    assert len(hardy) == 1
-    assert abs(float(hardy[0].split()[2]) - oracles.HARDY_MAX) < 1e-9
 
 
 def test_readme_library_block_runs():
