@@ -17,7 +17,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,15 +31,6 @@ _EQUIV_THRESHOLD = 1e-10
 # state, Born rule); it bounds the verb's memory, which would otherwise
 # grow with --samples.
 _VERIFY_CHUNK = 256
-
-
-@dataclass(frozen=True)
-class Command:
-    """A parsed verb with its validated options and output target."""
-
-    verb: str
-    options: dict
-    out: str | None
 
 
 def _fmt(x: float) -> str:
@@ -109,13 +99,10 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def parse(argv) -> Command:
-    """Validate argv into a Command; exits with code 2 on usage errors."""
-    ns = _parser().parse_args(argv)
-    opts = vars(ns).copy()
-    verb = opts.pop("verb")
-    out = opts.pop("out")
-    return Command(verb=verb, options=opts, out=out)
+def parse(argv) -> argparse.Namespace:
+    """Validate argv into argparse's namespace (the verb, its options and
+    --out); exits with code 2 on usage errors."""
+    return _parser().parse_args(argv)
 
 
 def _uniform(u, low, high):
@@ -126,9 +113,11 @@ def _uniform(u, low, high):
 def _random(rng: random.Random, n: int):
     """n × 6 draws equal, bit for bit and in stream order, to 6n calls of
     ``rng.random()``: each takes two 32-bit words, keeps their top 27 and
-    26 bits and scales the 53-bit integer by 2**-53, as CPython does."""
-    w = np.frombuffer(rng.randbytes(48 * n), "<u4").reshape(n, 6, 2)
-    return ((w[..., 0] >> 5) * 67108864.0 + (w[..., 1] >> 6)) / 9007199254740992.0
+    26 bits and scales the 53-bit integer by 2**-53, as CPython does. Each
+    pair of words is read as one little-endian 64-bit integer x, whose low
+    half is the first word and high half the second."""
+    x = np.frombuffer(rng.randbytes(48 * n), "<u8").reshape(n, 6)
+    return ((x & 0xFFFFFFFF) >> 5 << 26 | x >> 38) * 2.0 ** -53
 
 
 def _run_verify_formula(o, out) -> int:
@@ -243,17 +232,20 @@ _DISPATCH = {
 }
 
 
-def execute(cmd: Command) -> int:
-    """Dispatch a parsed command; returns the process exit code. --out is
+def execute(ns: argparse.Namespace) -> int:
+    """Dispatch a parsed namespace; returns the process exit code. The verb
+    reads the options left after popping the verb and --out. --out is
     opened before the verb runs: an unwritable path fails before any work,
     and a verb that fails after the open leaves the file empty."""
+    options = vars(ns).copy()
+    verb, path = options.pop("verb"), options.pop("out")
     try:
-        if cmd.out is None:
-            return _DISPATCH[cmd.verb](cmd.options, sys.stdout)
-        with open(cmd.out, "w") as out:
-            return _DISPATCH[cmd.verb](cmd.options, out)
+        if path is None:
+            return _DISPATCH[verb](options, sys.stdout)
+        with open(path, "w") as out:
+            return _DISPATCH[verb](options, out)
     except (ValueError, OSError) as exc:
-        print(f"{cmd.verb}: {exc}", file=sys.stderr)
+        print(f"{verb}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -81,7 +81,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -101,10 +101,14 @@ class UnsupportedLevelError(ValueError):
     """Hierarchy level is not one of 1, 1+AB, 2, 3."""
 
 
-def canonical(letters: Iterable[str]) -> Word:
+def _parties(letters: Word) -> tuple[list[str], list[str]]:
+    """The Alice letters and the Bob letters of a word, each in order."""
+    return [l for l in letters if l[0] == "a"], [l for l in letters if l[0] == "b"]
+
+
+def canonical(letters: Word) -> Word:
     """Sort parties apart and collapse adjacent duplicate projectors."""
-    a = [l for l in letters if l[0] == "a"]
-    b = [l for l in letters if l[0] == "b"]
+    a, b = _parties(letters)
 
     def collapse(seq):
         out = []
@@ -119,8 +123,7 @@ def canonical(letters: Iterable[str]) -> Word:
 
 def adjoint(word: Word) -> Word:
     """Canonical form of the Hermitian adjoint (letters are projectors)."""
-    a = [l for l in word if l[0] == "a"]
-    b = [l for l in word if l[0] == "b"]
+    a, b = _parties(word)
     return canonical(tuple(reversed(a)) + tuple(reversed(b)))
 
 
@@ -146,8 +149,7 @@ def words_for_level(level) -> list[Word]:
 def strip_once(w: Word) -> Word:
     """w with one zero-face rewrite applied, or w itself if none applies
     (see module docstring)."""
-    a = [l for l in w if l[0] == "a"]
-    b = [l for l in w if l[0] == "b"]
+    a, b = _parties(w)
     if a and b and a[-1] == "a1" and b[-1] == "b0":
         return tuple(a + b[:-1])
     if a and b and b[-1] == "b1" and a[-1] == "a0":

@@ -74,16 +74,6 @@ class CabelloStats:
     score: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """Outcome assignment (a0, a1, b0, b1), each 0 for "+" or 1 for "-"."""
-
-    a0: int
-    a1: int
-    b0: int
-    b1: int
-
-
 def _frobenius(M: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix over the last two axes of a contiguous complex M."""
     v = M.view(float).reshape(*M.shape[:-2], -1)
@@ -196,37 +186,15 @@ def cabello_stats(b: Behavior) -> CabelloStats:
     return CabelloStats(q=q, p=p, e10=e10, e01=e01, score=p - q)
 
 
-def deterministic_behavior(s: DeterministicStrategy) -> Behavior:
-    """The 0/1 behavior induced by a local deterministic assignment."""
-    p = np.zeros((2, 2, 2, 2))
-    ax = (s.a0, s.a1)
-    by = (s.b0, s.b1)
-    for x, y in product(range(2), repeat=2):
-        p[x, y, ax[x], by[y]] = 1.0
-    return Behavior(p=p)
-
-
-def enumerate_local_deterministic() -> list[tuple[DeterministicStrategy, Behavior]]:
-    """All 16 deterministic strategies with their induced behaviors."""
-    out = []
-    for a0, a1, b0, b1 in product(range(2), repeat=4):
-        s = DeterministicStrategy(a0=a0, a1=a1, b0=b0, b1=b1)
-        out.append((s, deterministic_behavior(s)))
-    return out
-
-
-def _vertex_stats() -> np.ndarray:
-    """Rows (score, e10, e01) for the 16 deterministic vertices."""
-    rows = np.empty((16, 3))
-    for i, (_, beh) in enumerate(enumerate_local_deterministic()):
-        st = cabello_stats(beh)
-        rows[i] = (st.score, st.e10, st.e01)
-    return rows
-
-
-# the 7 distinct rows in sorted order; a mixture LP needs each column
-# once (sorted by hand: np.unique would import numpy.ma at start-up)
-_VERTICES = np.array(sorted(set(map(tuple, _vertex_stats().tolist()))))
+# Every local deterministic strategy assigns outcomes (a0, a1, b0, b1) and
+# reads score = [a1 = b1 = +] - [a0 = b0 = +], e10 = [a1 = +, b0 = -] and
+# e01 = [a0 = -, b1 = +]. The 16 strategies give 7 distinct rows; a
+# mixture LP needs each column once, here in sorted order (sorted by
+# hand: np.unique would import numpy.ma at start-up)
+_VERTICES = np.array(sorted({
+    ((a1 == b1 == PLUS) - (a0 == b0 == PLUS),
+     (a1, b0) == (PLUS, MINUS), (a0, b1) == (MINUS, PLUS))
+    for a0, a1, b0, b1 in product((PLUS, MINUS), repeat=4)}), dtype=float)
 
 
 @functools.cache

@@ -76,16 +76,20 @@ class DirectSumState:
         na, nb = self.mu.shape
         return 2 * na, 2 * nb
 
-    def vector(self) -> np.ndarray:
-        """Assembled global state on dims (2 nA) x (2 nB), flattened."""
-        na, nb = self.mu.shape
+    def _weighted_blocks(self) -> np.ndarray:
+        """sqrt(mu[i, j]) times block state (i, j), an (nA, nB, 4) array
+        whose last axis runs over the block qubits (a, b) as 2 a + b."""
         mu = self.mu[..., None]
         # the product runs on occupied cells only, so an empty cell is +0
         # whatever its placeholder state holds, with no warning
-        blocks = np.multiply(np.sqrt(np.maximum(mu, 0.0)), self.block_states,
-                             out=np.zeros(self.block_states.shape, dtype=complex),
-                             where=mu > 1e-300)
-        return blocks.reshape(na, nb, 2, 2).transpose(0, 2, 1, 3).reshape(-1)
+        return np.multiply(np.sqrt(np.maximum(mu, 0.0)), self.block_states,
+                           out=np.zeros(self.block_states.shape, dtype=complex),
+                           where=mu > 1e-300)
+
+    def vector(self) -> np.ndarray:
+        """Assembled global state on dims (2 nA) x (2 nB), flattened."""
+        na, nb = self.mu.shape
+        return self._weighted_blocks().reshape(na, nb, 2, 2).transpose(0, 2, 1, 3).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -151,10 +155,12 @@ def _ancilla_pair(state: DirectSumState) -> np.ndarray:
     out. On the ancilla-|0> sector each party's isometry sends
     |2k+a>|0> to |2k>|a>, so it acts as an index map: the amplitude of
     |2k+a, 2l+b> becomes that of ancillas |a, b> with junk |2k, 2l>, and
-    the odd junk indices stay empty.
+    the odd junk indices stay empty. So the ancilla amplitudes are the
+    weighted blocks themselves, read as a (4, nA nB) array: row 2 a + b,
+    column nB k + l.
     """
     na, nb = state.mu.shape
-    anc = state.vector().reshape(na, 2, nb, 2).transpose(1, 3, 0, 2).reshape(4, na * nb)
+    anc = np.ascontiguousarray(state._weighted_blocks().reshape(na * nb, 4).T)
     return anc @ anc.conj().T
 
 

@@ -225,7 +225,7 @@ def lp_vertex_oracle(c, A, b):
 
 def _vertex_table():
     """(score, e10, e01) of the 16 deterministic strategies, recomputed
-    from scratch (independent of the package's enumeration)."""
+    from scratch (independent of the package's vertex rows)."""
     rows = []
     for a0, a1, b0, b1 in product((0, 1), repeat=4):
         score = float(a1 == 0 and b1 == 0) - float(a0 == 0 and b0 == 0)

@@ -34,19 +34,17 @@ def run_cli(argv, capsys):
 
 
 def test_parse_sweep_defaults():
-    cmd = parse(["sweep", "--eps-max", "0.5", "--steps", "51"])
-    assert cmd.verb == "sweep"
-    assert cmd.options["steps"] == 51
-    assert cmd.options["eps_max"] == 0.5
-    assert cmd.options["level"] == "2"
-    assert cmd.out is None
+    ns = parse(["sweep", "--eps-max", "0.5", "--steps", "51"])
+    assert ns.verb == "sweep"
+    assert ns.steps == 51
+    assert ns.eps_max == 0.5
+    assert ns.level == "2"
+    assert ns.out is None
 
 
 def test_parse_optimize_ideal():
-    cmd = parse(["optimize", "--mode", "ideal"])
-    assert cmd.verb == "optimize"
-    assert cmd.options == {"mode": "ideal", "eps": None}
-    assert cmd.out is None
+    ns = parse(["optimize", "--mode", "ideal"])
+    assert vars(ns) == {"verb": "optimize", "mode": "ideal", "eps": None, "out": None}
 
 
 def test_parse_rejects_unsupported_level():

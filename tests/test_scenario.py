@@ -16,18 +16,16 @@ from cabello.qubit import (
 from cabello.scenario import (
     Behavior,
     CabelloStats,
-    DeterministicStrategy,
     InfeasibleError,
     InvalidMeasurementError,
     InvalidStateError,
     behavior_from_quantum,
     cabello_stats,
-    deterministic_behavior,
-    enumerate_local_deterministic,
     local_max_score,
     solve_lp,
 )
 
+import oracles
 from oracles import local_bound_oracle, lp_vertex_oracle, random_local_unitary
 
 COMP = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
@@ -271,26 +269,15 @@ def test_uniform_behavior_stats():
 
 
 def test_all_plus_strategy_stats():
-    s = DeterministicStrategy(a0=0, a1=0, b0=0, b1=0)
-    stats = cabello_stats(deterministic_behavior(s))
+    p = np.zeros((2, 2, 2, 2))
+    p[:, :, 0, 0] = 1.0  # "+" for every setting pair
+    stats = cabello_stats(Behavior(p=p))
     assert stats.q == 1.0 and stats.p == 1.0 and stats.score == 0.0
     assert stats.e10 == 0.0 and stats.e01 == 0.0
 
 
-def test_enumerate_sixteen_distinct():
-    items = enumerate_local_deterministic()
-    assert len(items) == 16
-    seen = {tuple((s.a0, s.a1, s.b0, s.b1)) for s, _ in items}
-    assert len(seen) == 16
-    for _, b in items:
-        vals = np.unique(b.p)
-        assert set(vals.tolist()) <= {0.0, 1.0}
-
-
 def test_vertex_rows_equal_np_unique_bitwise():
-    from cabello import scenario
-
-    want = np.unique(scenario._vertex_stats(), axis=0)
+    want = np.unique(np.array(oracles._vertex_table()), axis=0)
     assert scenario._VERTICES.shape == want.shape == (7, 3)
     assert scenario._VERTICES.tobytes() == want.tobytes()
 
@@ -298,15 +285,14 @@ def test_vertex_rows_equal_np_unique_bitwise():
 def test_no_deterministic_strategy_wins_the_ideal_game():
     # any strategy with positive score must violate one of the zero
     # constraints; that is the whole nonlocality argument
-    for s, b in enumerate_local_deterministic():
-        stats = cabello_stats(b)
-        assert stats.score <= 0.0 or stats.e10 > 0.0 or stats.e01 > 0.0
+    for score, e10, e01 in oracles._vertex_table():
+        assert score <= 0.0 or e10 > 0.0 or e01 > 0.0
 
 
 def _local_columns():
-    """(score, e10, e01) of the 16 deterministic strategies, in enumeration order."""
-    stats = [cabello_stats(b) for _, b in enumerate_local_deterministic()]
-    return np.array([(st.score, st.e10, st.e01) for st in stats])
+    """(score, e10, e01) of the 16 deterministic strategies, in the
+    product order of (a0, a1, b0, b1)."""
+    return np.array(oracles._vertex_table())
 
 
 def test_solve_lp_single_variable():

@@ -141,6 +141,31 @@ def test_index_map_equals_the_isometry_matrices():
         assert np.abs(selftest._ancilla_pair(state) - want).max() <= 1e-15, (na, nb)
 
 
+def _ancilla_pair_via_vector(state):
+    """The ancilla pair from the global vector, permuted back into
+    (ancilla pair, junk) order: the reference for the blockwise read."""
+    na, nb = state.mu.shape
+    anc = state.vector().reshape(na, 2, nb, 2).transpose(1, 3, 0, 2).reshape(4, na * nb)
+    return anc @ anc.conj().T
+
+
+def test_ancilla_pair_equals_the_global_vector_route_bitwise():
+    # the empty cell holds an inf placeholder, which must read as +0
+    bs = np.broadcast_to(optimal_block_state(0.4, 1.1), (2, 2, 4)).copy()
+    bs[0, 1] = np.inf
+    states = [assemble_direct_sum([1.0]),
+              assemble_direct_sum([0.3, 0.7], phases=(1.0, 2.0)),
+              assemble_direct_sum([1 / 8] * 8),
+              assemble_direct_sum([1 / 64] * 64),
+              assemble_direct_sum([[0.1, 0.2], [0.3, 0.4]]),
+              DirectSumState(mu=[[0.5, 0.0], [0.25, 0.25]], block_states=bs, phi=0.4, xi=1.1)]
+    for state in states:
+        got, want = selftest._ancilla_pair(state), _ancilla_pair_via_vector(state)
+        assert np.isfinite(want).all()
+        assert got.shape == want.shape == (4, 4)
+        assert got.tobytes() == want.tobytes(), state.mu.shape
+
+
 def test_verify_trivial_direct_sum():
     rep = verify_selftest(assemble_direct_sum([1.0]))
     assert abs(rep.fidelity - 1.0) < 1e-12
