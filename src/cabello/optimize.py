@@ -5,10 +5,11 @@ measurement angles, where the paper places the ideal, Hardy and
 eps-robust optima. They differ only in the function of h they
 maximize, each in closed form over the remaining parameters:
 
-- ideal: the constrained family's score maximized over c and delta,
-  the top eigenvalue of a 2x2 form (``_slice_point`` at eps = 0);
+- ideal: p - q at eps = 0 (``_slice_point``), the top eigenvalue of a
+  2x2 form; the ideal verb reports the exact-zero eps = 0 candidate
+  (``_ideal_candidate``), which every nonideal search also builds on;
 - Hardy: p on the zero slice, where c sits at the normalizability
-  ceiling (``_family_terms``);
+  ceiling (``_hardy_p``);
 - nonideal: p - q over the real ansatz amplitudes on the tight slice
   e10 = e01 = eps, maximized over its circle of amplitudes by a 2x2
   secular equation (``_slice_point``).
@@ -29,7 +30,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from math import atan2, copysign, cos, hypot, pi, sin, sqrt
+from math import copysign, cos, hypot, pi, sin, sqrt
 from typing import Callable
 
 from . import npa
@@ -164,37 +165,12 @@ def _search(value: Callable[[float], float]) -> MinimizeResult:
 
 # -- ideal and Hardy problems -------------------------------------------
 
-def _family_terms(a: float, b: float) -> tuple[float, float, float]:
-    """Angle factors (P, Q, S) of the constrained-family score.
-
-    In the chart c = sin t / sqrt(W), W = 1 + tan^2(a/2) + tan^2(b/2),
-    the normalizability radicand is cos^2 t and the score (phases at
-    phi = xi = 0) is cos^2 t P + sin^2 t Q - sin 2t S cos delta with
-    P = cos^2(a/2) cos^2(b/2) - 1, Q = sin^2(a/2) sin^2(b/2) / W and
-    S = sin a sin b / (4 sqrt W).
-    """
+def _hardy_p(a: float, b: float) -> float:
+    """p = sin^2(a/2) sin^2(b/2) / W of the constrained family with c at
+    its normalizability ceiling, W = 1 + tan^2(a/2) + tan^2(b/2)."""
     ca, sa, cb, sb = cos(a / 2), sin(a / 2), cos(b / 2), sin(b / 2)
     ta, tb = sa / ca, sb / cb
-    w = 1.0 + ta * ta + tb * tb
-    return (ca * ca * cb * cb - 1.0, sa * sa * sb * sb / w,
-            sin(a) * sin(b) / (4.0 * sqrt(w)))
-
-
-def _ideal_point(a: float, b: float):
-    """Score and (alpha, beta, c) of the family maximized over c and delta.
-
-    S > 0 on the box and sin 2t >= 0, so delta = pi is best, and the
-    score is the quadratic form of [[P, S], [S, Q]] at (cos t, sin t).
-    Its maximum over t is the top eigenvalue (P + Q)/2 + r, with
-    half = (P - Q)/2 and r = hypot(half, S) > 0, at the top eigenvector
-    t = atan2(r - half, S) (half <= 0, so r - half does not cancel), and
-    c = sin t / sqrt(W); the score is ``closed_form_score`` at delta = pi.
-    """
-    P, Q, S = _family_terms(a, b)
-    half = (P - Q) / 2
-    c = sin(atan2(hypot(half, S) - half, S)) / sqrt(norm_factor(a, b))
-    return closed_form_score(ConstrainedStateParams(
-        c=c, delta=pi, meas=MeasurementParams(alpha=a, beta=b))), (a, b, c)
+    return sa * sa * sb * sb / (1.0 + ta * ta + tb * tb)
 
 
 def _hardy_point(a: float, b: float):
@@ -205,28 +181,29 @@ def _hardy_point(a: float, b: float):
     c = 1.0 / sqrt(w)
     while 1.0 - c * c * w > 0.0:
         c = math.nextafter(c, 2.0)
-    return _family_terms(a, b)[1], (a, b, c)
+    return _hardy_p(a, b), (a, b, c)
 
 
-def _family_result(point, delta: float, res: MinimizeResult) -> OptResult:
-    """The constrained-family ``point`` (score, (alpha, beta, c)) found
-    by the search ``res``, reported at ``delta``."""
-    score, (a, b, c) = point
-    params = {"alpha": a, "beta": b, "c": c, "delta": delta, "phi": 0.0, "xi": 0.0}
+def _family_result(score: float, a: float, c: float, delta: float,
+                   converged: bool) -> OptResult:
+    """The constrained-family point at alpha = beta = a, c and delta."""
+    params = {"alpha": a, "beta": a, "c": c, "delta": delta, "phi": 0.0, "xi": 0.0}
     return OptResult(score=score, params=params, e10=0.0, e01=0.0,
-                     starts_used=GRID_POINTS, converged=res.converged)
+                     starts_used=GRID_POINTS, converged=converged)
 
 
 def optimize_ideal() -> OptResult:
     """Maximize the closed-form score over (alpha, beta, c, delta).
 
-    At equal angles alpha = beta = 2h, c and delta are in closed form,
-    so the search runs over h only, on ``_slice_point`` at eps = 0. It
-    reports delta = pi, c from ``_ideal_point`` and ``closed_form_score``
-    there, a few ulp from the analytic optimum.
+    Reports the exact-zero eps = 0 candidate (``_ideal_candidate``) in
+    the constrained-family chart: alpha = beta = 2h, c its |11>
+    amplitude s11, delta = pi, and ``closed_form_score`` there, a few
+    ulp from the analytic optimum.
     """
-    res = _search(lambda h: _slice_point(0.0, h)[0])
-    return _family_result(_ideal_point(2 * res.x, 2 * res.x), pi, res)
+    _, (_, _, c, a, _), converged = _ideal_candidate()
+    score = closed_form_score(ConstrainedStateParams(
+        c=c, delta=pi, meas=MeasurementParams(alpha=a, beta=a)))
+    return _family_result(score, a, c, pi, converged)
 
 
 def optimize_hardy() -> OptResult:
@@ -235,12 +212,12 @@ def optimize_hardy() -> OptResult:
     Within the constrained family the zero constraint pins the |00>
     amplitude: c equals the normalizability ceiling, leaving
     p = sin^2(alpha/2) sin^2(beta/2) / (1 + tan^2(alpha/2) + tan^2(beta/2)),
-    at equal angles Q(h) = cos^2 h sin^4 h / (1 + sin^2 h), searched
-    over h. The reported c makes the |00> amplitude exactly 0
-    (``_hardy_point``).
+    at equal angles cos^2 h sin^4 h / (1 + sin^2 h), searched over h.
+    The reported c makes the |00> amplitude exactly 0 (``_hardy_point``).
     """
-    res = _search(lambda h: _family_terms(2 * h, 2 * h)[1])
-    return _family_result(_hardy_point(2 * res.x, 2 * res.x), 0.0, res)
+    res = _search(lambda h: _hardy_p(2 * h, 2 * h))
+    p, (a, _, c) = _hardy_point(2 * res.x, 2 * res.x)
+    return _family_result(p, a, c, 0.0, res.converged)
 
 
 # -- nonideal problem ---------------------------------------------------
@@ -280,9 +257,10 @@ def _slice_point(eps: float, h: float):
     Linear Algebra Appl. 114/115, 815 (1989)). In the eigenbasis of M
     and with t = lam - mu1 > 0, 1/|x(t)| - 1 is concave and increasing,
     so Newton from t = |b1| (b1 the part of b along the top eigenvector),
-    where |x| >= 1, climbs to its root without overshoot. At eps = 0, b = 0 and x is the top eigenvector: the
-    closed form of ``_ideal_point`` at equal angles. The plane
-    m = -sqrt(eps) adds nothing, since q and p are even in the
+    where |x| >= 1, climbs to its root without overshoot. At eps = 0,
+    b = 0 and x is the top eigenvector, from which ``_ideal_candidate``
+    forms the exact-zero eps = 0 candidate that the ideal verb reports.
+    The plane m = -sqrt(eps) adds nothing, since q and p are even in the
     amplitudes.
     """
     ch, sh = cos(h), sin(h)
@@ -354,9 +332,9 @@ def _ideal_candidate():
     neighbours, until the closed form m = cos h s01 + sin h s11 of
     ``ansatz_stats`` is 0.0; s00 then takes the rest of the norm. The
     signs are those of ``qubit.analytic_optimum``'s state. The strategy
-    is feasible at every eps >= 0, so it is formed once per process.
-    Returns the score, (s00, s01, s11, alpha, beta) and the search's
-    convergence flag.
+    is feasible at every eps >= 0, so it is formed once per process;
+    ``optimize_ideal`` reports it too. Returns the score,
+    (s00, s01, s11, alpha, beta) and the search's convergence flag.
     """
     res = _search(lambda h: _slice_point(0.0, h)[0])
     h = res.x

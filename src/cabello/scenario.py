@@ -97,13 +97,13 @@ def _projector_errors(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def _stack_measurements(proj, n: int, dim: int, who: str, batched: bool) -> np.ndarray:
     """Projectors as one (sample, setting, outcome, dim, dim) array, checked.
 
-    A single call's first two settings are stacked as the batch of one.
+    A single call's projectors are stacked as the batch of one.
     The stack's shape is checked first, then hermiticity, idempotence
     and completeness over the stack, in that order; an error names the
     first failing sample of a batch.
     """
     try:
-        P = np.asarray(proj if batched else [proj[:2]], dtype=complex)
+        P = np.asarray(proj if batched else [proj], dtype=complex)
     except ValueError as e:  # ragged: projectors of unequal shapes
         raise InvalidMeasurementError(f"{who}: projectors of unequal shapes") from e
     if P.shape != (n, 2, 2, dim, dim):

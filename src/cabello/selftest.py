@@ -26,6 +26,9 @@ import numpy as np
 from .qubit import AnsatzParams, MeasurementParams, analytic_optimum, ansatz_state, projectors
 
 
+_OCCUPIED = 1e-12  # a cell of weight at or below this is empty: never checked nor read
+
+
 class BadWeightsError(ValueError):
     """Direct-sum weights are negative or do not sum to one."""
 
@@ -40,8 +43,8 @@ class DirectSumState:
 
     ``mu`` is the (nA, nB) weight matrix over block pairs;
     ``block_states`` holds one normalized 4-vector per cell (ignored
-    where the weight vanishes). Alice lives on dimension 2 nA, Bob on
-    2 nB, with block i at indices (2i, 2i+1).
+    where the weight is at most ``_OCCUPIED``). Alice lives on
+    dimension 2 nA, Bob on 2 nB, with block i at indices (2i, 2i+1).
     """
 
     mu: np.ndarray
@@ -65,7 +68,7 @@ class DirectSumState:
             raise BasisMismatchError(
                 f"block states shaped {bs.shape}, expected {mu.shape + (4,)}"
             )
-        norms = np.linalg.norm(bs[mu > 1e-12], axis=-1)  # empty cells are never read
+        norms = np.linalg.norm(bs[mu > _OCCUPIED], axis=-1)  # empty cells are never read
         if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise BasisMismatchError("occupied block states must be normalized")
         object.__setattr__(self, "mu", mu)
@@ -84,7 +87,7 @@ class DirectSumState:
         # whatever its placeholder state holds, with no warning
         return np.multiply(np.sqrt(np.maximum(mu, 0.0)), self.block_states,
                            out=np.zeros(self.block_states.shape, dtype=complex),
-                           where=mu > 1e-300)
+                           where=mu > _OCCUPIED)
 
     def vector(self) -> np.ndarray:
         """Assembled global state on dims (2 nA) x (2 nB), flattened."""
@@ -176,7 +179,7 @@ def verify_selftest(state: DirectSumState) -> IsometryReport:
     fid = float(np.real(np.vdot(ref, rho @ ref)))
     fid = min(max(fid, 0.0), 1.0)
     blocks = []
-    for i, j in zip(*np.nonzero(state.mu > 1e-12)):
+    for i, j in zip(*np.nonzero(state.mu > _OCCUPIED)):
         ov = min(abs(np.vdot(ref, state.block_states[i, j])) ** 2, 1.0)
         blocks.append({"i": int(i), "j": int(j), "weight": float(state.mu[i, j]),
                        "overlap": float(ov)})

@@ -90,8 +90,12 @@ TSIRELSON = 2 * np.sqrt(2.0)
 # same optima, where a search resolves alpha only to about 1e-8 because
 # the score is flat to rounding there, so alpha and c moved by up to
 # 5.4e-8; the ideal score kept its bytes and Hardy moved to 4.2e-17
-# above HARDY_MAX. The eps > 0 npa lines and the
-# sweep's upper column were frozen again when the relaxation went over
+# above HARDY_MAX. The ideal line was frozen again when the ideal verb
+# came to report the nonideal search's exact-zero eps = 0 candidate,
+# with c its |11> amplitude, instead of re-deriving c in a second
+# chart: alpha and delta kept their bytes, c moved by 2.2e-16 and the
+# score by 1.1e-16, to 2.1e-16 below OPT_SCORE. The eps > 0 npa lines
+# and the sweep's upper column were frozen again when the relaxation went over
 # to party-swap orbits of the moment classes, with class-index kernels
 # in the solver: the same maximum, reached by other rounding, moved
 # these bounds by at most 6.3e-10 (level 3 eps 0.15); the eps = 0 lines
@@ -100,8 +104,8 @@ TSIRELSON = 2 * np.sqrt(2.0)
 # and says so.
 CLI_STDOUT = {
     ("optimize", "--mode", "ideal"):
-        '{"score": 0.1078127177489363, "params": {"alpha": 1.6135687860223569, '
-        '"beta": 1.6135687860223569, "c": 0.553906357101086, '
+        '{"score": 0.1078127177489362, "params": {"alpha": 1.6135687860223569, '
+        '"beta": 1.6135687860223569, "c": 0.5539063571010858, '
         '"delta": 3.141592653589793, "phi": 0.0, "xi": 0.0}, "e10": 0.0, '
         '"e01": 0.0, "starts_used": 12, "converged": true}\n',
     ("hardy",):
@@ -273,6 +277,25 @@ def local_bound_oracle(eps: float) -> float:
         if w.min() >= -1e-12:
             best = max(best, sum(wk * vts[k][0] for wk, k in zip(w, idx)))
     return float(best)
+
+
+def family_envelope(a: float, b: float) -> float:
+    """The constrained-family score at angles (a, b), maximized over c
+    and delta: the top eigenvalue of [[P, S], [S, Q]].
+
+    In the chart c = sin t / sqrt(W), W = 1 + tan^2(a/2) + tan^2(b/2),
+    the normalizability radicand is cos^2 t and the score (phases at
+    phi = xi = 0) is cos^2 t P + sin^2 t Q - sin 2t S cos delta with
+    P = cos^2(a/2) cos^2(b/2) - 1, Q = sin^2(a/2) sin^2(b/2) / W and
+    S = sin a sin b / (4 sqrt W). S > 0 for angles in (0, pi) and
+    sin 2t >= 0, so delta = pi is best, and the maximum over t is that
+    of the quadratic form at (cos t, sin t).
+    """
+    ca, sa, cb, sb = np.cos(a / 2), np.sin(a / 2), np.cos(b / 2), np.sin(b / 2)
+    w = 1.0 + (sa / ca) ** 2 + (sb / cb) ** 2
+    P, Q = ca * ca * cb * cb - 1.0, sa * sa * sb * sb / w
+    S = np.sin(a) * np.sin(b) / (4.0 * np.sqrt(w))
+    return float((P + Q) / 2 + np.hypot((P - Q) / 2, S))
 
 
 def hardy_grid_oracle() -> float:

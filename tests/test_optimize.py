@@ -110,7 +110,9 @@ def test_every_slice_descent_converges(monkeypatch):
 
 
 def test_every_ideal_and_hardy_descent_converges(monkeypatch):
-    # one search each, every bracket closed by the stopping test
+    # one search each in a fresh process, every bracket closed by the
+    # stopping test
+    optimize._ideal_candidate.cache_clear()
     runs = _recording(monkeypatch)
     for search in (optimize_ideal, optimize_hardy):
         runs.clear()
@@ -172,6 +174,7 @@ def test_ideal_reaches_analytic_optimum(ideal):
 def test_ideal_search_ends_at_delta_pi_from_few_evaluations(monkeypatch):
     # c and delta are in closed form, so one search runs over the
     # half-angle h only, and alpha = beta = 2h
+    optimize._ideal_candidate.cache_clear()
     runs = _recording(monkeypatch)
     r = optimize_ideal()
     assert r.params["delta"] == np.pi
@@ -182,46 +185,53 @@ def test_ideal_search_ends_at_delta_pi_from_few_evaluations(monkeypatch):
     assert runs[0].nevals <= 90
 
 
-def _envelope(a, b):
-    """The family score maximized over c and delta: the top eigenvalue
-    of [[P, S], [S, Q]] (see optimize._ideal_point)."""
-    P, Q, S = optimize._family_terms(a, b)
-    return (P + Q) / 2 + math.hypot((P - Q) / 2, S)
+def test_ideal_and_nonideal_share_one_eps_zero_search(monkeypatch):
+    # the ideal verb reports the nonideal search's eps = 0 candidate, so
+    # a process runs the eps = 0 search once
+    optimize._ideal_candidate.cache_clear()
+    runs = _recording(monkeypatch)
+    r = optimize_ideal()
+    optimize_nonideal(0.1)
+    assert len(runs) == 2
+    _, (_, _, s11, a, b), _ = optimize._ideal_candidate()
+    assert (r.params["c"], r.params["alpha"], r.params["beta"]) == (s11, a, b)
 
 
-def test_ideal_value_is_the_envelope_over_c_and_delta():
+def test_ideal_value_is_the_envelope_over_c_and_delta(ideal):
     # for fixed angles, the top eigenvalue is the family score maximized
     # over c up to the normalizability ceiling and over delta, and the
-    # (c, pi) that _ideal_point reports attains it. The angles keep 0.1
-    # off the box edge: as beta -> pi the best c nears the ceiling, where
-    # the closed form takes the root of a radicand near 1e-14 and rounds
-    # by up to 5e-13
+    # (c, pi) that the ideal verb reports attains it at its angles
     rng = np.random.default_rng(8)
     cs = np.linspace(0.0, 1.0, 41)
     deltas = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     for a, b in rng.uniform(0.1, np.pi - 0.1, size=(200, 2)):
-        env = _envelope(a, b)
+        env = oracles.family_envelope(a, b)
         c, d = np.meshgrid(cs / np.sqrt(1 + np.tan(a / 2) ** 2 + np.tan(b / 2) ** 2),
                            deltas)
         grid = closed_form_score(ConstrainedStateParams(
             c=c, delta=d, meas=MeasurementParams(alpha=np.full_like(c, a),
                                                  beta=np.full_like(c, b))))
         assert env >= grid.max(), (a, b)
-        score, (_, _, c_best) = optimize._ideal_point(a, b)
-        assert abs(score - env) <= 1e-14, (a, b)
-        assert score == closed_form_score(ConstrainedStateParams(
-            c=c_best, delta=np.pi, meas=MeasurementParams(alpha=a, beta=b)))
+    a, c = ideal.params["alpha"], ideal.params["c"]
+    assert abs(ideal.score - oracles.family_envelope(a, a)) <= 1e-14
+    assert ideal.score == closed_form_score(ConstrainedStateParams(
+        c=c, delta=np.pi, meas=MeasurementParams(alpha=a, beta=a)))
 
 
 def test_slice_point_at_eps_zero_is_the_envelope():
     # at equal angles the slice's closed form in theta at eps = 0 is the
-    # same maximum over c and delta, with both constraints at zero
+    # same maximum over c and delta, with both constraints at zero, and
+    # its |11> amplitude at delta = pi attains it in the family's chart
     for h in np.random.default_rng(3).uniform(0.05, np.pi / 2 - 0.05, size=200):
+        a = 2 * float(h)
         value, amps = optimize._slice_point(0.0, float(h))
-        assert abs(value - _envelope(2 * h, 2 * h)) <= 1e-14, h
-        _, _, e10, e01 = ansatz_stats(2 * h, 2 * h, *amps)
+        assert abs(value - oracles.family_envelope(a, a)) <= 1e-14, h
+        _, _, e10, e01 = ansatz_stats(a, a, *amps)
         assert e10 <= 1e-30 and e01 <= 1e-30
         assert abs(amps[0] ** 2 + 2 * amps[1] ** 2 + amps[2] ** 2 - 1.0) <= 1e-15
+        score = closed_form_score(ConstrainedStateParams(
+            c=abs(amps[2]), delta=np.pi, meas=MeasurementParams(alpha=a, beta=a)))
+        assert abs(score - value) <= 1e-14, h
 
 
 def test_slice_point_is_the_maximum_over_its_circle():

@@ -262,6 +262,21 @@ def test_rejects_misshapen_projector():
         behavior_from_quantum(state, (COMP, (COMP[0], np.eye(3))), (COMP, COMP))
 
 
+def test_a_third_setting_is_rejected_in_a_single_call_as_in_a_batch():
+    # a single call is the batch of one, so the whole projector list is
+    # stacked and checked, not its first two settings
+    rng = np.random.default_rng(21)
+    state, projA, projB = _random_draw(rng, 2)
+    extra = [*projA, projA[0]]
+    shape = r"^Alice: projector stack shape \(1, 3, 2, 2, 2\) != \(1, 2, 2, 2, 2\)$"
+    with pytest.raises(InvalidMeasurementError, match=shape):
+        behavior_from_quantum(state, extra, projB)
+    with pytest.raises(InvalidMeasurementError, match=shape):
+        behavior_from_quantum(state[None], np.asarray([extra]), np.asarray([projB]))
+    with pytest.raises(InvalidMeasurementError, match=r"^Bob: projector stack shape"):
+        behavior_from_quantum(state, projA, [*projB, projB[1]])
+
+
 def test_uniform_behavior_stats():
     stats = cabello_stats(Behavior(p=np.full((2, 2, 2, 2), 0.25)))
     assert stats.q == 0.25 and stats.p == 0.25

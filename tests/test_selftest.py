@@ -63,7 +63,7 @@ def test_assemble_matrix_weights_and_norm():
 
 def test_vector_places_each_weighted_block():
     # the array form of vector() against one block at a time; empty
-    # cells (weight <= 1e-300, negative within tolerance, or a NaN
+    # cells (weight <= 1e-12, negative within tolerance, or a NaN
     # placeholder state) stay +0
     rng = np.random.default_rng(5)
     for na, nb in ((2, 3), (3, 4), (4, 2)):
@@ -72,10 +72,10 @@ def test_vector_places_each_weighted_block():
         mu /= mu.sum()
         bs = rng.normal(size=(na, nb, 4)) + 1j * rng.normal(size=(na, nb, 4))
         bs /= np.linalg.norm(bs, axis=2, keepdims=True)
-        bs[mu <= 1e-300] = np.nan
+        bs[mu <= 1e-12] = np.nan
         want = np.zeros((2 * na, 2 * nb), dtype=complex)
         for i, j in np.ndindex(na, nb):
-            if mu[i, j] > 1e-300:
+            if mu[i, j] > 1e-12:
                 want[2 * i:2 * i + 2, 2 * j:2 * j + 2] = (
                     np.sqrt(mu[i, j]) * bs[i, j].reshape(2, 2))
         got = DirectSumState(mu=mu, block_states=bs).vector()
@@ -93,6 +93,26 @@ def test_inf_placeholder_in_an_empty_cell_builds_without_warning():
     bs[1, 0] = 0.0
     want = DirectSumState(mu=[[1.0], [0.0]], block_states=bs).vector()
     assert got.tobytes() == want.tobytes()
+
+
+def test_a_cell_at_or_below_1e_12_is_neither_checked_nor_read():
+    # the validation, the ancilla pair and the report share one rule for
+    # an occupied cell, so a placeholder under a weight of at most 1e-12,
+    # inf or unnormalized, is never read
+    good = optimal_block_state()
+    want = verify_selftest(DirectSumState(mu=[[1.0], [0.0]],
+                                          block_states=np.stack([good, good])[:, None]))
+    for weight in (1e-12, 1e-13, 1e-200):
+        for junk in (np.full(4, np.inf, dtype=complex), 2 * good):
+            bs = np.stack([good, junk]).reshape(2, 1, 4)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                state = DirectSumState(mu=[[1.0 - weight], [weight]], block_states=bs)
+                rep = verify_selftest(state)
+                vec = state.vector()
+            assert np.isfinite(vec).all() and not vec[4:].any(), (weight, junk)
+            assert abs(rep.fidelity - want.fidelity) <= 1e-11, (weight, junk)
+            assert [b["i"] for b in rep.blocks] == [0], (weight, junk)
 
 
 def test_assemble_rejects_bad_weights():
