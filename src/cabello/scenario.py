@@ -1,8 +1,9 @@
 """The 2-party / 2-setting / 2-outcome Bell scenario.
 
 Behaviors, the four distinguished Cabello probabilities, the 16-vertex
-local deterministic polytope, and the epsilon-constrained local bound,
-solved exactly by enumerating the vertices of its three-row mixture LP.
+local deterministic polytope, and the epsilon-constrained local bound
+min(2 eps, 1), in closed form with its proof; the vertex-enumeration
+mixture LP is kept as its reference and for lower-bound column pools.
 
 Outcome convention, used everywhere in the package: the outcome labels
 (+, -) map to array indices (0, 1). So p[x][y][0][1] is the probability
@@ -94,21 +95,23 @@ def _projector_errors(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
                 _frobenius(P[:, :, 0] + P[:, :, 1] - np.eye(dim)))
 
 
-def _stack_measurements(proj, n: int, dim: int, who: str, batched: bool) -> np.ndarray:
-    """Projectors as one (sample, setting, outcome, dim, dim) array, checked.
-
-    A single call's projectors are stacked as the batch of one.
-    The stack's shape is checked first, then hermiticity, idempotence
-    and completeness over the stack, in that order; an error names the
-    first failing sample of a batch.
-    """
+def _stack_measurements(proj, n: int, who: str, batched: bool) -> np.ndarray:
+    """Projectors as one (sample, setting, outcome, dim, dim) array of
+    checked shape; the local dimension dim is read off the stack's last
+    axis. A single call's projectors are stacked as the batch of one."""
     try:
         P = np.asarray(proj if batched else [proj], dtype=complex)
     except ValueError as e:  # ragged: projectors of unequal shapes
         raise InvalidMeasurementError(f"{who}: projectors of unequal shapes") from e
-    if P.shape != (n, 2, 2, dim, dim):
-        raise InvalidMeasurementError(
-            f"{who}: projector stack shape {P.shape} != {(n, 2, 2, dim, dim)}")
+    want = (n, 2, 2, *P.shape[-1:] * 2)
+    if P.shape != want:
+        raise InvalidMeasurementError(f"{who}: projector stack shape {P.shape} != {want}")
+    return P
+
+
+def _check_projectors(P: np.ndarray, who: str, batched: bool) -> None:
+    """Hermiticity, idempotence and completeness over a stack, in that
+    order; an error names the first failing sample of a batch."""
     whats = ("projector not Hermitian", "projector not idempotent",
              "projectors do not sum to identity")
     for err, what in zip(_projector_errors(P), whats):
@@ -116,7 +119,6 @@ def _stack_measurements(proj, n: int, dim: int, who: str, batched: bool) -> np.n
         if bad.any():
             k, x = np.argwhere(bad)[0][:2]
             raise InvalidMeasurementError(f"{_sample(k, batched)}{who} setting {x}: {what}")
-    return P
 
 
 def _sample(k: int, batched: bool) -> str:
@@ -145,15 +147,18 @@ def behavior_from_quantum(
     the Born rule of state[k] with projA[k] and projB[k]. Every check
     runs over the whole batch, in the order of a single call, and its
     error names the first failing sample. A single call is the batch of
-    one.
+    one. The checks run in this order: the shape of Alice's and of Bob's
+    stack, the state's dimension and norm, then Alice's and Bob's
+    projectors.
     """
     state = np.asarray(state, dtype=complex)
     batched = state.ndim == 2
     if not batched:
         state = state.reshape(1, -1)
     n = state.shape[0]
-    # rows of the first projector pair (of sample 0, for a batch)
-    dA, dB = np.shape(projA[0][0])[-2], np.shape(projB[0][0])[-2]
+    PA = _stack_measurements(projA, n, "Alice", batched)
+    PB = _stack_measurements(projB, n, "Bob", batched)
+    dA, dB = PA.shape[-1], PB.shape[-1]
     if state.shape[1] != dA * dB:
         raise InvalidStateError(f"state has dimension {state.shape[1]}, expected {dA * dB}")
     with np.errstate(invalid="ignore", over="ignore"):  # inf or huge entries fail below
@@ -162,15 +167,17 @@ def behavior_from_quantum(
     if bad.any():
         k = int(np.argmax(bad))
         raise InvalidStateError(f"{_sample(k, batched)}state norm {norms[k]:.12f} != 1")
-    PA = _stack_measurements(projA, n, dA, "Alice", batched)
-    PB = _stack_measurements(projB, n, dB, "Bob", batched)
+    _check_projectors(PA, "Alice", batched)
+    _check_projectors(PB, "Bob", batched)
     psi = state.reshape(n, dA, dB)
     # X[n, x, a] = psi^H PA[x, a] and Y[n, y, b]^T = PB[y, b] psi^T, both (dB, dA)
     X = sum(np.conj(psi)[:, None, None, i, :, None] * PA[:, :, :, i, None, :]
             for i in range(dA))
     Yt = sum(PB[:, :, :, :, l, None] * psi[:, None, None, None, :, l] for l in range(dB))
     p = np.einsum("nsq,ntq->nst", X.reshape(n, 4, -1), Yt.reshape(n, 4, -1)).real
-    p = np.clip(p.reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4), 0.0, 1.0)
+    # into a C-contiguous array, so that Behavior's checks run unstrided
+    p = np.clip(p.reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4), 0.0, 1.0,
+                out=np.empty((n, 2, 2, 2, 2)))
     return Behavior(p=p if batched else p[0])
 
 
@@ -217,6 +224,11 @@ def _supports(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 def solve_lp(cols: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
     """Best mixture of columns (score, e10, e01) with both e rows <= eps.
+
+    No CLI verb calls it: the local bound is in closed form
+    (``local_max_score``), which the tests hold to this LP over
+    ``_VERTICES``; ROADMAP item 2's lower bound, the best mixture of a
+    pool of explicit strategy columns, is to be built on it.
 
     Maximizes sum_i w_i score_i subject to sum_i w_i = 1, w >= 0,
     sum_i w_i e10_i <= eps and sum_i w_i e01_i <= eps; returns
@@ -268,16 +280,19 @@ def solve_lp(cols: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
 
 
 def local_max_score(eps: float) -> float:
-    """Exact LP optimum of p - q over the eps-constrained local polytope.
+    """Maximum of p - q over local behaviors with e10, e01 <= eps: min(2 eps, 1).
 
-    The best mixture of the deterministic vertices subject to
-    e10 <= eps, e01 <= eps, found by ``solve_lp``. Always feasible (the
-    all-"+" strategy has e10 = e01 = 0), so there is an optimum for
-    every eps >= 0. Every vertex has e10, e01 in {0, 1}, so both rows are
-    vacuous from eps = 1 on, and the LP is solved at min(eps, 1), which
-    keeps its Cramer products finite at any finite eps.
+    Proof. Every deterministic vertex (score, e10, e01) has score <=
+    e10 + e01: a score-1 vertex has a1 = b1 = +, and then a0 = - puts 1
+    in e01, or b0 = - puts 1 in e10. So every feasible mixture scores at
+    most e10 + e01 <= 2 eps, and at most 1. The mixture eps (1, 0, 1) +
+    eps (1, 1, 0) + (1 - 2 eps) (0, 0, 0) attains 2 eps for eps <= 1/2,
+    and weights 1/2, 1/2 on its first two vertices attain 1 above.
+
+    2 eps is exact in floating point and overflows only to inf, which
+    min caps at 1; ``solve_lp`` over ``_VERTICES`` is the reference.
+    Returns a Python float, +0.0 at eps = -0.0.
     """
     if not 0.0 <= eps < np.inf:
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
-    value, _ = solve_lp(_VERTICES, min(eps, 1.0))
-    return value + 0.0  # normalize -0.0
+    return min(2.0 * float(eps), 1.0) + 0.0  # normalize -0.0

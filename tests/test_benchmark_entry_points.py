@@ -50,8 +50,9 @@ def test_layers_call_the_traced_kernels_by_module_attribute(monkeypatch):
         monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
     cabello.optimize.optimize_nonideal(0.1)
     assert calls["minimize"] > 0
+    # the local bound is in closed form: no CLI path reaches the LP
     cabello.scenario.local_max_score(0.1)
-    assert calls["solve_lp"] == 1
+    assert calls["solve_lp"] == 0
 
 
 # -- the benchmark's gate, in process ------------------------------------

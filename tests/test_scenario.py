@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from cabello import scenario
+from cabello import cli, scenario
 from cabello.qubit import (
     ConstrainedStateParams,
     MeasurementParams,
@@ -255,6 +255,26 @@ def test_rejects_nan_state_projector_and_behavior():
         Behavior(p=np.full((2, 2, 2, 2), np.nan))
 
 
+@pytest.mark.parametrize("party", ["Alice", "Bob"])
+@pytest.mark.parametrize("bad", [[], [COMP[0]], np.eye(2)], ids=["empty", "one", "bare"])
+def test_a_projector_list_of_the_wrong_shape_raises_before_dimensions_are_read(party, bad):
+    # the local dimensions come from the checked stack, so a list that is
+    # too short or a bare matrix is a shape error, not an IndexError
+    state = np.zeros(4, dtype=complex)
+    state[0] = 1.0
+    projA, projB = (bad, (COMP, COMP)) if party == "Alice" else ((COMP, COMP), bad)
+    with pytest.raises(InvalidMeasurementError, match=f"^{party}: projector stack shape"):
+        behavior_from_quantum(state, projA, projB)
+
+
+def test_behavior_array_is_c_contiguous():
+    # Behavior's range and normalization checks then run unstrided
+    rng = np.random.default_rng(22)
+    draws = [_random_draw(rng, 2) for _ in range(3)]
+    for beh in (behavior_from_quantum(*draws[0]), behavior_from_quantum(*_stack(draws))):
+        assert beh.p.flags.c_contiguous
+
+
 def test_rejects_misshapen_projector():
     state = np.zeros(4, dtype=complex)
     state[0] = 1.0
@@ -371,7 +391,17 @@ def test_local_bound_is_exactly_min_of_two_eps_and_one():
     # vacuous rows are solved at eps = 1
     huge = [9e307, 1e308, sys.float_info.max]
     for eps in [*np.linspace(0.0, 0.6, 1201), 1e-300, *window, *huge]:
-        assert local_max_score(float(eps)) == min(2.0 * eps, 1.0), eps
+        got = local_max_score(float(eps))
+        assert got == min(2.0 * eps, 1.0), eps
+        # the vertex-enumeration LP stays the closed form's reference
+        assert got == solve_lp(scenario._VERTICES, min(float(eps), 1.0))[0], eps
+
+
+def test_local_bound_at_negative_zero_is_positive_zero(capsys):
+    got = local_max_score(-0.0)
+    assert got == 0.0 and np.copysign(1.0, got) == 1.0
+    assert cli.main(["local-bound", "--eps", "-0"]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_local_bound_matches_vertex_oracle():
