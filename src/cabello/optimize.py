@@ -1,18 +1,18 @@
 """Maximization of the score on the equal-angle slice.
 
-Three searches, each over the half-angle h = alpha/2 = beta/2 of equal
-measurement angles, where the paper places the ideal, Hardy and
-eps-robust optima. They differ only in the function of h they
-maximize, each in closed form over the remaining parameters:
+The ideal, Hardy and eps-robust optima lie at equal measurement angles,
+alpha = beta = 2h. Two of them are known in closed form, and one search
+over the half-angle h finds the third:
 
-- ideal: p - q at eps = 0 (``_slice_point``), the top eigenvalue of a
-  2x2 form; the ideal verb reports the exact-zero eps = 0 candidate
-  (``_ideal_candidate``), which every nonideal search also builds on;
-- Hardy: p on the zero slice, where c sits at the normalizability
-  ceiling (``_hardy_p``);
+- ideal: p - q at eps = 0, at the radicals of
+  ``qubit.analytic_optimum``; the ideal verb reports the exact-zero
+  eps = 0 candidate built there (``_ideal_candidate``), which every
+  nonideal search also takes as its fallback;
+- Hardy: p with c at the normalizability ceiling (``_hardy_point``),
+  at tan^2 h = phi, the golden ratio (``optimize_hardy``);
 - nonideal: p - q over the real ansatz amplitudes on the tight slice
   e10 = e01 = eps, maximized over its circle of amplitudes by a 2x2
-  secular equation (``_slice_point``).
+  secular equation (``_slice_point``) and over h by ``minimize``.
 
 Phases are fixed to phi = xi = 0: the score depends on the three
 phases only through their sum, so freeing them adds flat directions
@@ -30,14 +30,15 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from math import copysign, cos, hypot, pi, sin, sqrt
+from math import atan, copysign, cos, hypot, pi, sin, sqrt
 from typing import Callable
 
 from . import npa
-from .qubit import ConstrainedStateParams, MeasurementParams, closed_form_score, norm_factor
+from .qubit import (ConstrainedStateParams, MeasurementParams, analytic_optimum,
+                    closed_form_score, norm_factor)
 from .scenario import local_max_score
 
-GRID_POINTS = 12       # evenly spaced grid of every search, both ends included
+GRID_POINTS = 12       # evenly spaced grid of the search, both ends included
 GOLDEN_MAX_ITER = 100  # step cap of every golden-section refinement
 
 _EDGE = 1e-9          # open-interval guard for the polar angles
@@ -52,10 +53,11 @@ class OptResult:
     """Best point of a search.
 
     ``params`` is a plain dict of named parameter fields (the ideal and
-    Hardy searches report the constrained family, the nonideal search
-    the ansatz amplitudes). ``starts_used`` is the size of the search's
-    grid, ``GRID_POINTS``, and ``converged`` the ``MinimizeResult`` flag
-    of the search that found the winning point.
+    Hardy optima in the constrained family, the nonideal search in the
+    ansatz amplitudes). ``starts_used`` is the size of the search's
+    grid: ``GRID_POINTS`` for the nonideal search, 0 for the ideal and
+    Hardy optima, which come from closed forms. ``converged`` is the
+    ``MinimizeResult`` flag of the search, and True where none ran.
     """
 
     score: float
@@ -157,67 +159,59 @@ def minimize(fun: Callable[[float], float], lo: float, hi: float) -> MinimizeRes
     return MinimizeResult(x, f, len(seen), converged, nit)
 
 
-def _search(value: Callable[[float], float]) -> MinimizeResult:
-    """Maximum of ``value(h)`` over the half-angle box ``_H_BOX``; the
-    result's ``fun`` is minus the maximum."""
-    return minimize(lambda h: -value(h), *_H_BOX)
-
-
 # -- ideal and Hardy problems -------------------------------------------
 
-def _hardy_p(a: float, b: float) -> float:
+def _hardy_point(a: float, b: float):
     """p = sin^2(a/2) sin^2(b/2) / W of the constrained family with c at
-    its normalizability ceiling, W = 1 + tan^2(a/2) + tan^2(b/2)."""
+    its normalizability ceiling, W = 1 + tan^2(a/2) + tan^2(b/2), and
+    (alpha, beta, c), with c rounded up from 1 / sqrt(W) until the
+    radicand, formed as ``qubit._radicand`` forms it, is not positive:
+    the |00> amplitude of ``constrained_state`` is then 0."""
     ca, sa, cb, sb = cos(a / 2), sin(a / 2), cos(b / 2), sin(b / 2)
     ta, tb = sa / ca, sb / cb
-    return sa * sa * sb * sb / (1.0 + ta * ta + tb * tb)
-
-
-def _hardy_point(a: float, b: float):
-    """p and (alpha, beta, c), with c rounded up from 1 / sqrt(W) until
-    the radicand, formed as ``qubit._radicand`` forms it, is not
-    positive: the |00> amplitude of ``constrained_state`` is then 0."""
     w = norm_factor(a, b)
     c = 1.0 / sqrt(w)
     while 1.0 - c * c * w > 0.0:
         c = math.nextafter(c, 2.0)
-    return _hardy_p(a, b), (a, b, c)
+    return sa * sa * sb * sb / (1.0 + ta * ta + tb * tb), (a, b, c)
 
 
-def _family_result(score: float, a: float, c: float, delta: float,
-                   converged: bool) -> OptResult:
+def _family_result(score: float, a: float, c: float, delta: float) -> OptResult:
     """The constrained-family point at alpha = beta = a, c and delta."""
     params = {"alpha": a, "beta": a, "c": c, "delta": delta, "phi": 0.0, "xi": 0.0}
     return OptResult(score=score, params=params, e10=0.0, e01=0.0,
-                     starts_used=GRID_POINTS, converged=converged)
+                     starts_used=0, converged=True)
 
 
 def optimize_ideal() -> OptResult:
     """Maximize the closed-form score over (alpha, beta, c, delta).
 
     Reports the exact-zero eps = 0 candidate (``_ideal_candidate``) in
-    the constrained-family chart: alpha = beta = 2h, c its |11>
-    amplitude s11, delta = pi, and ``closed_form_score`` there, a few
-    ulp from the analytic optimum.
+    the constrained-family chart: alpha = beta from
+    ``qubit.analytic_optimum``, c its |11> amplitude s11, delta = pi,
+    and ``closed_form_score`` there.
     """
-    _, (_, _, c, a, _), converged = _ideal_candidate()
+    _, (_, _, c, a, _) = _ideal_candidate()
     score = closed_form_score(ConstrainedStateParams(
         c=c, delta=pi, meas=MeasurementParams(alpha=a, beta=a)))
-    return _family_result(score, a, c, pi, converged)
+    return _family_result(score, a, c, pi)
 
 
 def optimize_hardy() -> OptResult:
     """Maximize p with the additional constraint q = 0.
 
     Within the constrained family the zero constraint pins the |00>
-    amplitude: c equals the normalizability ceiling, leaving
-    p = sin^2(alpha/2) sin^2(beta/2) / (1 + tan^2(alpha/2) + tan^2(beta/2)),
-    at equal angles cos^2 h sin^4 h / (1 + sin^2 h), searched over h.
-    The reported c makes the |00> amplitude exactly 0 (``_hardy_point``).
+    amplitude: c equals the normalizability ceiling (``_hardy_point``),
+    leaving at equal angles p = cos^2 h sin^4 h / (1 + sin^2 h), that
+    is s^2 (1 - s) / (1 + s) with s = sin^2 h. Its derivative
+    2 s (1 - s - s^2) / (1 + s)^2 vanishes in (0, 1) only where
+    s^2 + s - 1 = 0, so tan^2 h = s / (1 - s) = phi, the golden ratio,
+    and p = (5 sqrt 5 - 11) / 2 (Rabelo et al., Phys. Rev. Lett. 109,
+    180401 (2012)). The reported c makes the |00> amplitude exactly 0.
     """
-    res = _search(lambda h: _hardy_p(2 * h, 2 * h))
-    p, (a, _, c) = _hardy_point(2 * res.x, 2 * res.x)
-    return _family_result(p, a, c, 0.0, res.converged)
+    a = 2 * atan(sqrt((1.0 + sqrt(5.0)) / 2))
+    p, (_, _, c) = _hardy_point(a, a)
+    return _family_result(p, a, c, 0.0)
 
 
 # -- nonideal problem ---------------------------------------------------
@@ -258,8 +252,8 @@ def _slice_point(eps: float, h: float):
     and with t = lam - mu1 > 0, 1/|x(t)| - 1 is concave and increasing,
     so Newton from t = |b1| (b1 the part of b along the top eigenvector),
     where |x| >= 1, climbs to its root without overshoot. At eps = 0,
-    b = 0 and x is the top eigenvector, from which ``_ideal_candidate``
-    forms the exact-zero eps = 0 candidate that the ideal verb reports.
+    b = 0 and x is the top eigenvector; its maximum over h is the ideal
+    optimum, which ``_ideal_candidate`` takes from its closed form.
     The plane m = -sqrt(eps) adds nothing, since q and p are even in the
     amplitudes.
     """
@@ -327,19 +321,18 @@ def _shift_polish(h: float, amps, eps: float):
 def _ideal_candidate():
     """The eps = 0 optimum with closed-form e10 = e01 = 0.0 exactly.
 
-    From the optimum of ``_slice_point`` at eps = 0, s11 steps toward 0
-    by ulps, with s01 = -sin h s11 / cos h or one of its two float
-    neighbours, until the closed form m = cos h s01 + sin h s11 of
-    ``ansatz_stats`` is 0.0; s00 then takes the rest of the norm. The
-    signs are those of ``qubit.analytic_optimum``'s state. The strategy
-    is feasible at every eps >= 0, so it is formed once per process;
-    ``optimize_ideal`` reports it too. Returns the score,
-    (s00, s01, s11, alpha, beta) and the search's convergence flag.
+    From ``qubit.analytic_optimum``: alpha = beta = its alpha = 2h, and
+    s11 its kappa11. s11 then steps toward 0 by ulps, with
+    s01 = -sin h s11 / cos h or one of its two float neighbours, until
+    the closed form m = cos h s01 + sin h s11 of ``ansatz_stats`` is
+    0.0; s00 takes the rest of the norm, with the sign of kappa00. The
+    strategy is feasible at every eps >= 0, so it is formed once per
+    process; ``optimize_ideal`` reports it too. Returns the score and
+    (s00, s01, s11, alpha, beta).
     """
-    res = _search(lambda h: _slice_point(0.0, h)[0])
-    h = res.x
-    ch, sh = cos(h), sin(h)
-    s00, s01, s11 = (-v for v in _slice_point(0.0, h)[1])
+    opt = analytic_optimum()
+    a, s11 = opt.alpha, opt.kappa11
+    ch, sh = cos(a / 2), sin(a / 2)
     while True:
         v = -sh * s11 / ch
         zeros = [s for s in (v, math.nextafter(v, -1.0), math.nextafter(v, 1.0))
@@ -348,41 +341,41 @@ def _ideal_candidate():
             break
         s11 = math.nextafter(s11, 0.0)
     s01 = zeros[0]
-    s00 = copysign(sqrt(max(0.0, 1.0 - 2 * s01 * s01 - s11 * s11)), s00)
-    q, p, _, _ = ansatz_stats(2 * h, 2 * h, s00, s01, s11)
-    return p - q, (s00, s01, s11, 2 * h, 2 * h), res.converged
+    s00 = copysign(sqrt(max(0.0, 1.0 - 2 * s01 * s01 - s11 * s11)), opt.kappa00)
+    q, p, _, _ = ansatz_stats(a, a, s00, s01, s11)
+    return p - q, (s00, s01, s11, a, a)
 
 
 def optimize_nonideal(eps: float) -> OptResult:
     """Maximize the simulated score over the ansatz under eps constraints.
 
-    The search runs on the symmetric tight slice (``_slice_point``):
-    alpha = beta and e10 = e01 = eps, where the paper places the
-    eps-robust optimum. Every point of the slice is an explicit
-    two-qubit strategy, so the result is a valid lower bound whether or
-    not the slice holds the optimum. The closed forms can put the best
-    point just outside the constraints by rounding, so it goes through
-    the shift polish (``_shift_polish``); the returned point satisfies
-    e10, e01 <= eps in their closed forms. The other candidate is the
-    eps = 0 optimum with exact zeros (``_ideal_candidate``), feasible at
-    every eps: it wins where the polish cannot get the slice point
-    inside, below eps of about 1e-32, and at eps = 0.
+    ``minimize`` searches the half-angle h of the symmetric tight slice
+    (``_slice_point``): alpha = beta and e10 = e01 = eps, where the paper
+    places the eps-robust optimum. Every point of the slice is an
+    explicit two-qubit strategy, so the result is a valid lower bound
+    whether or not the slice holds the optimum. The closed forms can put
+    the best point just outside the constraints by rounding, so it goes
+    through the shift polish (``_shift_polish``); the returned point
+    satisfies e10, e01 <= eps in their closed forms. The other candidate
+    is the eps = 0 optimum with exact zeros (``_ideal_candidate``),
+    feasible at every eps: it wins where the polish cannot get the slice
+    point inside, below eps of about 1e-32, and at eps = 0.
     """
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"eps must lie in [0, 0.5], got {eps}")
-    res = _search(lambda h: _slice_point(eps, h)[0])
+    res = minimize(lambda h: -_slice_point(eps, h)[0], *_H_BOX)
     cands = [_ideal_candidate()]
     amps = _shift_polish(res.x, _slice_point(eps, res.x)[1], eps)
     if amps is not None:
         a = 2 * res.x
         q, p, _, _ = ansatz_stats(a, a, *amps)
-        cands.append((p - q, (*amps, a, a), res.converged))
-    score, (s00, s01, s11, a, b), conv = _best(cands)
+        cands.append((p - q, (*amps, a, a)))
+    score, (s00, s01, s11, a, b) = _best(cands)
     _, _, e10, e01 = ansatz_stats(a, b, s00, s01, s11)
     params = {"s00": s00, "s01": s01, "s11": s11, "alpha": a, "beta": b,
               "phi": 0.0, "xi": 0.0}
     return OptResult(score=score, params=params, e10=e10, e01=e01,
-                     starts_used=GRID_POINTS, converged=conv)
+                     starts_used=GRID_POINTS, converged=res.converged)
 
 
 # -- sweep --------------------------------------------------------------

@@ -147,11 +147,14 @@ def behavior_from_quantum(
     the Born rule of state[k] with projA[k] and projB[k]. Every check
     runs over the whole batch, in the order of a single call, and its
     error names the first failing sample. A single call is the batch of
-    one. The checks run in this order: the shape of Alice's and of Bob's
-    stack, the state's dimension and norm, then Alice's and Bob's
-    projectors.
+    one. The checks run in this order: the state's number of axes (1 or
+    2, which decides whether the call is batched), the shape of Alice's
+    and of Bob's stack, the state's dimension and norm, then Alice's and
+    Bob's projectors.
     """
     state = np.asarray(state, dtype=complex)
+    if state.ndim not in (1, 2):
+        raise InvalidStateError(f"state has {state.ndim} axes, expected 1 or 2")
     batched = state.ndim == 2
     if not batched:
         state = state.reshape(1, -1)

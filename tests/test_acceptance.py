@@ -11,10 +11,12 @@ import time
 import numpy as np
 import pytest
 
+from cabello import optimize
 from cabello.npa import npa_upper_bound
 from cabello.optimize import (
     optimize_hardy,
     optimize_ideal,
+    optimize_nonideal,
     sweep_epsilon,
 )
 from cabello.qubit import (
@@ -71,13 +73,29 @@ def test_criterion_01_example_point_3_80():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_criterion_02_qubit_optimum_via_multistart(ideal_run):
+def test_criterion_02_qubit_optimum_via_multistart(ideal_run, monkeypatch):
     res, elapsed = ideal_run
     opt = analytic_optimum()
     assert abs(res.score - opt.score) < 1e-7
     assert abs(res.params["alpha"] - res.params["beta"]) < 1e-6
     assert abs(res.params["alpha"] - opt.alpha) < 1e-6
     assert abs(res.params["c"] - opt.c) < 1e-6
+    # the ideal verb reads the radicals; the grid-and-golden search of
+    # the eps = 0 slice, run by the nonideal search, finds the same
+    # optimum numerically
+    runs, minimize = [], optimize.minimize
+
+    def recording(*args):
+        runs.append(minimize(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(optimize, "minimize", recording)
+    t0 = time.perf_counter()
+    optimize_nonideal(0.0)
+    elapsed += time.perf_counter() - t0
+    (search,) = runs
+    assert abs(-search.fun - oracles.OPT_SCORE) <= 4.5e-16
+    assert abs(2 * search.x - opt.alpha) < 1e-6
     assert elapsed < 5.0
 
 

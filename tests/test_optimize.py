@@ -1,5 +1,5 @@
-"""Tests for the grid-and-golden minimizer, the equal-angle searches
-and the epsilon sweep."""
+"""Tests for the grid-and-golden minimizer, the closed-form ideal and
+Hardy optima, the nonideal slice search and the epsilon sweep."""
 
 import dataclasses
 import json
@@ -99,7 +99,6 @@ def _recording(monkeypatch):
 def test_every_slice_descent_converges(monkeypatch):
     # one grid-and-golden search per eps, every bracket closed by the
     # stopping test and none by the step cap
-    optimize._ideal_candidate()  # formed once per process, before recording
     runs = _recording(monkeypatch)
     for eps in (1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.1, 0.15, 0.3, 0.45, 0.5):
         runs.clear()
@@ -109,16 +108,14 @@ def test_every_slice_descent_converges(monkeypatch):
         assert runs[0].nevals <= 90, eps
 
 
-def test_every_ideal_and_hardy_descent_converges(monkeypatch):
-    # one search each in a fresh process, every bracket closed by the
-    # stopping test
+def test_ideal_and_hardy_run_no_search(monkeypatch):
+    # both optima come from closed forms, even in a fresh process
     optimize._ideal_candidate.cache_clear()
     runs = _recording(monkeypatch)
-    for search in (optimize_ideal, optimize_hardy):
-        runs.clear()
-        r = search()
-        assert len(runs) == 1 and r.starts_used == optimize.GRID_POINTS
-        assert runs[0].converged and r.converged, search.__name__
+    for verb in (optimize_ideal, optimize_hardy):
+        r = verb()
+        assert r.starts_used == 0 and r.converged, verb.__name__
+    assert runs == []
 
 
 @pytest.mark.parametrize("eps", sorted(oracles.NONIDEAL_SCORES))
@@ -167,33 +164,25 @@ def test_ideal_reaches_analytic_optimum(ideal):
     assert abs(ideal.params["alpha"] - ideal.params["beta"]) < 1e-6
     assert abs(ideal.params["alpha"] - opt.alpha) < 1e-6
     assert abs(ideal.params["c"] - opt.c) < 1e-6
-    assert ideal.starts_used == optimize.GRID_POINTS
-    assert ideal.converged
 
 
-def test_ideal_search_ends_at_delta_pi_from_few_evaluations(monkeypatch):
-    # c and delta are in closed form, so one search runs over the
-    # half-angle h only, and alpha = beta = 2h
-    optimize._ideal_candidate.cache_clear()
-    runs = _recording(monkeypatch)
-    r = optimize_ideal()
-    assert r.params["delta"] == np.pi
-    assert r.params["alpha"] == r.params["beta"]
-    assert abs(r.score - oracles.OPT_SCORE) <= 4.5e-16
-    assert r.converged
-    assert len(runs) == 1
-    assert runs[0].nevals <= 90
+def test_ideal_angles_are_the_radicals_at_delta_pi(ideal):
+    # alpha = beta is the closed form's float, bitwise; c and delta
+    # maximize the score in closed form at those angles
+    assert ideal.params["alpha"] == ideal.params["beta"] == analytic_optimum().alpha
+    assert ideal.params["delta"] == np.pi
+    assert abs(ideal.score - oracles.OPT_SCORE) <= 4.5e-16
 
 
-def test_ideal_and_nonideal_share_one_eps_zero_search(monkeypatch):
-    # the ideal verb reports the nonideal search's eps = 0 candidate, so
-    # a process runs the eps = 0 search once
+def test_ideal_and_nonideal_share_one_eps_zero_candidate(monkeypatch):
+    # the ideal verb reports the nonideal search's eps = 0 candidate, and
+    # the nonideal search is the one search of the process
     optimize._ideal_candidate.cache_clear()
     runs = _recording(monkeypatch)
     r = optimize_ideal()
     optimize_nonideal(0.1)
-    assert len(runs) == 2
-    _, (_, _, s11, a, b), _ = optimize._ideal_candidate()
+    assert len(runs) == 1
+    _, (_, _, s11, a, b) = optimize._ideal_candidate()
     assert (r.params["c"], r.params["alpha"], r.params["beta"]) == (s11, a, b)
 
 
@@ -480,6 +469,15 @@ def test_hardy_matches_grid_oracle():
     r = optimize_hardy()
     assert abs(r.score - oracles.hardy_grid_oracle()) < 1e-6
     assert abs(r.score - oracles.HARDY_MAX) < 1e-8
+
+
+def test_hardy_angle_is_the_golden_ratio():
+    # tan^2 h = phi maximizes p = s^2 (1 - s) / (1 + s), s = sin^2 h, at
+    # (5 sqrt 5 - 11) / 2
+    r = optimize_hardy()
+    phi = (1 + math.sqrt(5)) / 2
+    assert abs(math.tan(r.params["alpha"] / 2) ** 2 - phi) <= 1e-15
+    assert abs(r.score - (5 * math.sqrt(5) - 11) / 2) <= 5e-16
 
 
 def test_hardy_constraints_hold_exactly():

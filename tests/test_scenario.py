@@ -102,6 +102,16 @@ def test_rejects_unnormalized_state():
         behavior_from_quantum(state, (COMP, COMP), (COMP, COMP))
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 1), (1, 4, 1), (3, 2, 2)])
+def test_rejects_a_state_of_more_than_two_axes(shape):
+    # a state is a vector or a batch of vectors; neither a dA x dB
+    # matrix nor a batch of them is flattened into one state
+    state = np.zeros(shape, dtype=complex)
+    state[..., 0, 0] = 1.0
+    with pytest.raises(InvalidStateError, match=f"^state has {len(shape)} axes"):
+        behavior_from_quantum(state, (COMP, COMP), (COMP, COMP))
+
+
 def test_rejects_non_projective_measurement():
     bad = (np.full((2, 2), 0.5, dtype=complex) * 1.2,
            np.eye(2, dtype=complex) - np.full((2, 2), 0.5) * 1.2)
